@@ -43,7 +43,6 @@
 //! | [`pbsm`] | PBSM with sort-phase or Reference-Point dedup (§3) |
 //! | [`s3j`] | S³J original / with controlled replication (§4) |
 //! | [`sssj`] | sweeping-based baseline ([APR+ 98]) |
-//! | [`rtree`] | STR R-tree + synchronized R-tree join ([BKS 93]) |
 //! | [`shj`] | Spatial Hash Join baseline ([LR 96]) |
 //! | [`estimate`] | grid histograms, selectivity estimation, partition advice |
 //! | [`refine`] | refinement step: exact-geometry verification ([BKSS 94]) |
@@ -52,7 +51,6 @@
 pub use datagen;
 pub use exec;
 pub use refine;
-pub use rtree;
 pub use estimate;
 pub use shj;
 pub use geom;

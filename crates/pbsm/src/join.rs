@@ -2,8 +2,9 @@ use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId};
 use storage::{
-    try_external_sort, try_read_all, DiskModel, FileId, IdPair, IoError, IoStats, JoinError,
-    RecordReader, RecordWriter, RunCheckpoint, RunControl, RunPhase, SimDisk, SortStats,
+    try_external_sort, try_read_all, ClockPos, DiskModel, FileId, Finished, IdPair, IoError,
+    IoStats, JoinError, PartitionSink, RecordReader, RecordWriter, RunControl, RunPhase, SimDisk,
+    SortStats,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -59,7 +60,8 @@ pub struct PbsmConfig {
     /// Salt for the tile hash.
     pub seed: u64,
     /// Worker threads for the partition-pair join phase (phases 2+3).
-    /// `0` means "all available cores"; `1` runs the sequential code path.
+    /// `0` means "all available cores"; `1` runs the streaming sequential
+    /// executor, which also serves single-partition runs at any value.
     /// The result stream and all deterministic counters are identical for
     /// every value — partition pairs are tagged and re-assembled in
     /// canonical order.
@@ -382,14 +384,14 @@ pub fn try_pbsm_join(
 /// diagnostic mode never dedups, so neither supports partition-granular
 /// resume; both are refused up front with a typed `Unsupported` error.
 ///
-/// Under checkpointing each partition's result pairs are buffered, durably
-/// flushed to the run's results file, journaled (the commit point — crash
-/// injection fires here), and only then emitted. An interrupted run has
-/// therefore emitted exactly its committed partitions' pairs, and a resumed
-/// run emits exactly the uncommitted ones: together the two legs produce the
-/// uninterrupted output with zero re-emissions. A resumed run folds the
-/// journaled counters into its stats, so its reported totals equal an
-/// uninterrupted run's.
+/// Under checkpointing each partition's result pairs are buffered and handed
+/// to [`PartitionSink::commit_and_emit`], which flushes them durably,
+/// journals the partition (the commit point — crash injection fires there),
+/// and only then emits them. An interrupted run has therefore emitted
+/// exactly its committed partitions' pairs, and a resumed run emits exactly
+/// the uncommitted ones: together the two legs produce the uninterrupted
+/// output with zero re-emissions. A resumed run folds the journaled counters
+/// into its stats, so its reported totals equal an uninterrupted run's.
 pub fn try_pbsm_join_ctl(
     disk: &SimDisk,
     r: &[Kpe],
@@ -398,8 +400,8 @@ pub fn try_pbsm_join_ctl(
     ctl: &RunControl,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<PbsmStats, JoinError> {
-    let mut cp = ctl.checkpoint.as_ref().map(|m| m.lock());
-    let checkpointing = cp.is_some();
+    let mut sink = PartitionSink::new(ctl, disk);
+    let checkpointing = sink.is_checkpointing();
     if checkpointing && !matches!(cfg.dedup, Dedup::ReferencePoint | Dedup::TwoLayer) {
         return Err(JoinError::new("setup", IoError::unsupported()));
     }
@@ -410,22 +412,17 @@ pub fn try_pbsm_join_ctl(
     // with this, never with wall time.
     let sim_at = |io: &IoStats, cpu: f64| model.seconds(io) + model.scaled_cpu(cpu);
 
+    (stats.candidates, stats.results, stats.duplicates) = sink.committed_totals();
+    let phase = sink.checkpoint().map(|c| (c.phase(), c.partitions()));
     // A recovered run that already published `Done`: everything was emitted
     // before the original process exited, so report the journaled totals and
     // emit nothing (re-emitting would break exactly-once).
-    if let Some(cp) = cp.as_ref() {
-        if cp.phase() == RunPhase::Done {
-            stats.partitions = cp.partitions();
-            stats.grid = TileGrid::for_partitions(cp.partitions().max(1), cfg.tiles_per_partition);
-            for e in cp.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-            return Ok(stats);
-        }
+    if let Some((RunPhase::Done, partitions)) = phase {
+        stats.partitions = partitions;
+        stats.grid = TileGrid::for_partitions(partitions.max(1), cfg.tiles_per_partition);
+        return Ok(stats);
     }
-    let resuming = cp.as_ref().is_some_and(|c| c.phase() == RunPhase::Join);
+    let resuming = matches!(phase, Some((RunPhase::Join, _)));
 
     // --- Phase 1: partitioning (formula (1) with safety factor t) ----------
     let t0 = Instant::now();
@@ -445,8 +442,7 @@ pub fn try_pbsm_join_ctl(
     // model it can be joined straight from memory, so the partition files
     // are never materialised (the same shortcut every in-memory hash join
     // takes when it fits).
-    let mut single = p == 1;
-    let (files_r, files_s) = if single {
+    let (files_r, files_s) = if p == 1 {
         stats.copies_r = r.len() as u64; // one logical copy each, not on disk
         stats.copies_s = s.len() as u64;
         (Vec::new(), Vec::new())
@@ -454,11 +450,11 @@ pub fn try_pbsm_join_ctl(
         // The manifest's partition files survived the crash intact: the
         // whole partition phase (and its page writes) is skipped.
         debug_assert_eq!(
-            cp.as_ref().map_or(0, |c| c.partitions()),
+            phase.map_or(0, |(_, n)| n),
             p,
             "fingerprint-matched resume must re-derive the partition count"
         );
-        cp.as_ref().map_or_else(Default::default, |c| {
+        sink.checkpoint().map_or_else(Default::default, |c| {
             let (fr, fs) = c.files();
             (fr.to_vec(), fs.to_vec())
         })
@@ -509,7 +505,6 @@ pub fn try_pbsm_join_ctl(
             }
             if res.as_ref().err().is_some_and(is_enospc) {
                 stats.enospc_fallbacks += 1;
-                single = true;
                 p = 1;
                 grid = TileGrid::for_partitions(1, cfg.tiles_per_partition);
                 map = PartitionMap::new(1, cfg.tile_scheme, cfg.seed);
@@ -532,21 +527,9 @@ pub fn try_pbsm_join_ctl(
     );
 
     // Publish the `Join` manifest (journal + results files + partition file
-    // list) before any partition can commit; a resumed run instead folds the
-    // journaled counters in so its totals match an uninterrupted run's.
-    if let Some(cp) = cp.as_mut() {
-        if resuming {
-            for e in cp.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-        } else {
-            let c0 = disk.stats();
-            let res = cp.commit_join_phase(p, &files_r, &files_s);
-            stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-            res?;
-        }
+    // list) before any partition can commit.
+    if !resuming {
+        sink.publish(|cp| cp.commit_join_phase(p, &files_r, &files_s))?;
     }
 
     // --- Phases 2+3: repartition where needed, join every pair -------------
@@ -559,28 +542,16 @@ pub fn try_pbsm_join_ctl(
         .map(|d| RecordWriter::<IdPair>::create(d, cfg.io_buffer_pages));
     // First-result probe (the pipelining metric of §3.1/§5) on the
     // *pipelined* clock: join-phase base plus the emitting task's own
-    // CPU/I/O up to its first pair, minimized over all emitting tasks.
-    // Task-own deltas are scheduling-independent, so threads=1 and
-    // threads=N report the same position (satellite fix: the old probe read
-    // the coordinator's wall clock and global meters at delivery, which on
-    // the parallel path is later than the earliest worker emission).
-    let mut first_pos: Option<(f64, IoStats)> = None;
-    let fold_first = |slot: &mut Option<(f64, IoStats)>, cand: (f64, IoStats)| {
-        let pos = |p: &(f64, IoStats)| model.scaled_cpu(p.0) + model.seconds(&p.1);
-        if slot.as_ref().is_none_or(|cur| pos(&cand) < pos(cur)) {
-            *slot = Some(cand);
-        }
-    };
-    // This run's I/O at join-phase entry — the base every task-own delta is
-    // measured against (relative to `io0`, so a reused disk's earlier
-    // charges never leak into the probe).
+    // CPU/I/O up to its first pair, minimized over all emitting tasks by the
+    // sink. Task-own deltas are scheduling-independent, so threads=1 and
+    // threads=N report the same position. This run's I/O at join-phase entry
+    // is the base every task-own delta is measured against (relative to
+    // `io0`, so a reused disk's earlier charges never leak into the probe).
     let base_io = disk.stats().delta(&io0);
     let threads = parallel::resolve_threads(cfg.threads);
-    let mut internal = cfg.internal.create();
     // On-CPU compute clock (wall fallback) so sequential and parallel
     // join-phase measurements share a basis — see `Ctx::clock`.
     let coord_clock = parallel::WorkClock::start();
-    let wall_clock = || coord_clock.seconds();
     // Simulated time so far — what the deadline is charged against at every
     // partition boundary.
     let cpu_base = stats.cpu_partition;
@@ -589,129 +560,50 @@ pub fn try_pbsm_join_ctl(
     // journal-committed partition (whose pairs the crashed process already
     // emitted after its commit — skipping them is what makes resume
     // exactly-once).
-    let todo: Vec<u32> = (0..p)
-        .filter(|i| !cp.as_ref().is_some_and(|c| c.is_committed(*i)))
-        .collect();
-    if single {
-        if let Some(e) = ctl.charge("join", elapsed_now()) {
-            return Err(e);
-        }
-        if todo.is_empty() {
-            stats.join_counters = internal.counters();
-        } else {
-            let t = Instant::now();
-            let chain = RegionChain::top(grid, map, map.partition_of(0, 0, grid.gx));
-            let mut rv = r.to_vec();
-            let mut sv = s.to_vec();
-            let mut buffered: Vec<(RecordId, RecordId)> = Vec::new();
-            let base = (stats.candidates, stats.results, stats.duplicates);
-            let cpu0 = coord_clock.seconds();
-            let io0s = disk.stats();
-            let mut task_first: Option<(f64, IoStats)> = None;
-            let mut track = |a: RecordId, b: RecordId| {
-                if task_first.is_none() {
-                    task_first = Some((
+    let todo: Vec<u32> = (0..p).filter(|&i| !sink.is_committed(i)).collect();
+    if p == 1 || threads <= 1 {
+        // Streaming sequential executor, for threads = 1 and for the
+        // single-partition plan at any thread count (its one pair is the
+        // whole input, already in memory). An unchecked run's pairs reach
+        // `out` while their partition is still joining, so the first result
+        // never waits for a whole partition. After the first terminal error
+        // the remaining pairs are skipped; without a checkpoint all
+        // partition files are still deleted, with one they are left in
+        // place — an interruption must not destroy the state a resume
+        // needs, and `finish`/the recovery scan reclaim them.
+        let mut internal = cfg.internal.create();
+        let wall_clock = || coord_clock.seconds();
+        for &i in &todo {
+            if sink.charge("join", elapsed_now()) {
+                let chain = RegionChain::top(grid, map, i);
+                let base = (stats.candidates, stats.results, stats.duplicates);
+                let cpu0 = coord_clock.seconds();
+                let io0s = disk.stats();
+                let pos = || {
+                    (
                         cpu_base + (coord_clock.seconds() - cpu0),
                         base_io.plus(&disk.stats().delta(&io0s)),
-                    ));
-                }
-                out(a, b);
-            };
-            let joined = {
-                let mut ctx = Ctx {
-                    disk,
-                    cfg,
-                    internal: &mut *internal,
-                    stats: &mut stats,
-                    clock: &wall_clock,
-                    sources: (r, s),
-                };
-                if checkpointing {
-                    join_loaded(
-                        &mut ctx,
-                        &mut rv,
-                        &mut sv,
-                        &chain,
-                        &mut |a, b| buffered.push((a, b)),
-                        &mut |_| Ok(()),
                     )
-                } else {
-                    join_loaded(&mut ctx, &mut rv, &mut sv, &chain, &mut track, &mut |pair| {
+                };
+                let mut first: Option<ClockPos> = None;
+                let mut buffered: Vec<(RecordId, RecordId)> = Vec::new();
+                let res = {
+                    let mut emit = |a: RecordId, b: RecordId| {
+                        if checkpointing {
+                            buffered.push((a, b));
+                        } else {
+                            if first.is_none() {
+                                first = Some(pos());
+                            }
+                            out(a, b);
+                        }
+                    };
+                    let mut cand = |pair: IdPair| {
                         candidates
                             .as_mut()
                             .expect("sort-phase candidate writer (Some iff Dedup::SortPhase)")
                             .try_push(&pair)
-                    })
-                }
-            };
-            stats.cpu_join += t.elapsed().as_secs_f64();
-            stats.join_counters.merge(&internal.counters());
-            joined.map_err(|e| JoinError::new("dedup", e))?;
-            let deltas = (
-                stats.candidates - base.0,
-                stats.results - base.1,
-                stats.duplicates - base.2,
-            );
-            if let Some(cp) = cp.as_mut() {
-                commit_and_emit(
-                    cp,
-                    disk,
-                    &mut stats.io_checkpoint,
-                    &mut stats.checkpoint_commits,
-                    0,
-                    &buffered,
-                    deltas,
-                    &mut track,
-                )?;
-            }
-            if let Some(f) = task_first {
-                fold_first(&mut first_pos, f);
-            }
-            if ctl.observed() {
-                let io_own = disk.stats().delta(&io0s);
-                ctl.event(
-                    "partition-done",
-                    elapsed_now(),
-                    &[
-                        ("partition", 0),
-                        ("candidates", deltas.0),
-                        ("results", deltas.1),
-                        ("duplicates", deltas.2),
-                        ("pages_read", io_own.pages_read),
-                        ("pages_written", io_own.pages_written),
-                        ("committed", checkpointing as u64),
-                    ],
-                );
-            }
-        }
-    } else if threads <= 1 {
-        // Sequential executor: today's exact behaviour (threads = 1). After
-        // the first terminal error the remaining pairs are skipped; without
-        // a checkpoint all partition files are still deleted, with one they
-        // are left in place — an interruption must not destroy the state a
-        // resume needs, and `finish`/the recovery scan reclaim them.
-        let mut first_err: Option<JoinError> = None;
-        for &i in &todo {
-            if first_err.is_none() {
-                first_err = ctl.charge("join", elapsed_now());
-            }
-            if first_err.is_none() {
-                let chain = RegionChain::top(grid, map, i);
-                let mut buffered: Vec<(RecordId, RecordId)> = Vec::new();
-                let base = (stats.candidates, stats.results, stats.duplicates);
-                let cpu0 = coord_clock.seconds();
-                let io0s = disk.stats();
-                let mut task_first: Option<(f64, IoStats)> = None;
-                let mut track = |a: RecordId, b: RecordId| {
-                    if task_first.is_none() {
-                        task_first = Some((
-                            cpu_base + (coord_clock.seconds() - cpu0),
-                            base_io.plus(&disk.stats().delta(&io0s)),
-                        ));
-                    }
-                    out(a, b);
-                };
-                let res = {
+                    };
                     let mut ctx = Ctx {
                         disk,
                         cfg,
@@ -720,101 +612,73 @@ pub fn try_pbsm_join_ctl(
                         clock: &wall_clock,
                         sources: (r, s),
                     };
-                    if checkpointing {
-                        join_pair(
+                    match (files_r.get(i as usize), files_s.get(i as usize)) {
+                        (Some(&fr), Some(&fs)) => join_pair(
                             &mut ctx,
-                            files_r[i as usize],
-                            files_s[i as usize],
+                            fr,
+                            fs,
                             &chain,
                             0,
                             (false, false),
                             i,
                             None,
-                            &mut |a, b| buffered.push((a, b)),
-                            &mut |_| Ok(()),
-                        )
-                    } else {
-                        join_pair(
-                            &mut ctx,
-                            files_r[i as usize],
-                            files_s[i as usize],
-                            &chain,
-                            0,
-                            (false, false),
-                            i,
-                            None,
-                            &mut track,
-                            &mut |pair| {
-                                candidates
-                                    .as_mut()
-                                    .expect(
-                                        "sort-phase candidate writer (Some iff Dedup::SortPhase)",
-                                    )
-                                    .try_push(&pair)
-                            },
-                        )
+                            &mut emit,
+                            &mut cand,
+                        ),
+                        // The single-partition plan wrote no files: its one
+                        // pair is the whole input, joined from memory.
+                        _ => {
+                            let c0 = coord_clock.seconds();
+                            let (mut rv, mut sv) = (r.to_vec(), s.to_vec());
+                            let joined = join_loaded(
+                                &mut ctx, &mut rv, &mut sv, &chain, &mut emit, &mut cand,
+                            );
+                            ctx.stats.cpu_join += coord_clock.seconds() - c0;
+                            joined.map_err(|e| JoinError::new("dedup", e))
+                        }
                     }
                 };
                 match res {
                     Ok(()) => {
-                        if let Some(cp) = cp.as_mut() {
-                            let deltas = (
+                        if checkpointing && !buffered.is_empty() {
+                            first = Some(pos());
+                        }
+                        let unit = Finished {
+                            partition: i,
+                            chunk: None,
+                            counts: (
                                 stats.candidates - base.0,
                                 stats.results - base.1,
                                 stats.duplicates - base.2,
-                            );
-                            if let Err(e) = commit_and_emit(
-                                cp,
-                                disk,
-                                &mut stats.io_checkpoint,
-                                &mut stats.checkpoint_commits,
-                                i,
-                                &buffered,
-                                deltas,
-                                &mut track,
-                            ) {
-                                first_err = Some(e);
-                            }
-                        }
+                            ),
+                            io: Some(disk.stats().delta(&io0s)),
+                            pairs: &buffered,
+                            first,
+                        };
+                        sink.commit_and_emit(unit, &elapsed_now, out);
                     }
-                    Err(e) => first_err = Some(e),
-                }
-                if let Some(f) = task_first {
-                    fold_first(&mut first_pos, f);
-                }
-                if ctl.observed() && first_err.is_none() {
-                    let io_own = disk.stats().delta(&io0s);
-                    ctl.event(
-                        "partition-done",
-                        elapsed_now(),
-                        &[
-                            ("partition", u64::from(i)),
-                            ("candidates", stats.candidates - base.0),
-                            ("results", stats.results - base.1),
-                            ("duplicates", stats.duplicates - base.2),
-                            ("pages_read", io_own.pages_read),
-                            ("pages_written", io_own.pages_written),
-                            ("committed", checkpointing as u64),
-                        ],
-                    );
+                    Err(e) => sink.fail(e),
                 }
             }
             if !checkpointing {
-                disk.delete(files_r[i as usize]);
-                disk.delete(files_s[i as usize]);
+                for f in [files_r.get(i as usize), files_s.get(i as usize)]
+                    .into_iter()
+                    .flatten()
+                {
+                    disk.delete(*f);
+                }
             }
         }
         stats.join_counters.merge(&internal.counters());
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        sink.check()?;
     } else {
         // Parallel executor: each top-level partition pair (including its
         // repartitioning recursion) is one task. Workers run on forked I/O
         // counters; task outputs are re-assembled in partition order, so
         // the emitted stream — and, for the sort phase, the candidate file
-        // — is byte-identical to the sequential path. Checkpoint commits
-        // happen only here on the coordinator, in that same canonical order.
+        // — is byte-identical to the sequential path. Every task's pairs are
+        // buffered until the coordinator delivers them, so this executor
+        // serves multi-partition runs at threads > 1 only.
         struct TaskOut {
             pairs: Vec<(RecordId, RecordId)>,
             cand: Vec<IdPair>,
@@ -826,7 +690,7 @@ pub fn try_pbsm_join_ctl(
             cpu: f64,
             /// This task's own (CPU delta, I/O delta) at its first pair —
             /// the task-local leg of the pipelined first-result probe.
-            first: Option<(f64, IoStats)>,
+            first: Option<ClockPos>,
             /// (candidates, results, duplicates) this task produced — the
             /// journal record of its partition.
             deltas: (u64, u64, u64),
@@ -840,17 +704,14 @@ pub fn try_pbsm_join_ctl(
             io: IoStats,
             cpu: f64,
         }
-        let mut first_err: Option<JoinError> = None;
         let mut est_io = IoStats::default();
-        let io_ckpt = &mut stats.io_checkpoint;
-        let ckpt_commits = &mut stats.checkpoint_commits;
-        let first_pos_ref = &mut first_pos;
         let todo_ref = &todo;
+        let cancel = sink.pool_cancel();
         let (workers, pool) = parallel::run_ordered_prefetch_fallible_with(
             threads,
             todo.len(),
             cfg.max_partition_requeues,
-            Some(&ctl.cancel),
+            Some(cancel),
             |_w| {
                 (
                     disk.fork_counters(),
@@ -889,9 +750,15 @@ pub fn try_pbsm_join_ctl(
                                 cfg.io_buffer_pages,
                             ) {
                                 Ok(sv) => Preloaded::Loaded(rv, sv),
-                                Err(err) => Preloaded::Failed { err, failed_r: false },
+                                Err(err) => Preloaded::Failed {
+                                    err,
+                                    failed_r: false,
+                                },
                             },
-                            Err(err) => Preloaded::Failed { err, failed_r: true },
+                            Err(err) => Preloaded::Failed {
+                                err,
+                                failed_r: true,
+                            },
                         },
                     )
                 })();
@@ -1006,103 +873,46 @@ pub fn try_pbsm_join_ctl(
             },
             |idx, result| {
                 let i = todo_ref[idx];
-                if first_err.is_none() {
-                    // Deadline at partition granularity: the coordinator's
-                    // own meter plus every forked delta folded in so far.
-                    first_err = ctl.charge(
-                        "join",
-                        model.seconds(&disk.stats().plus(&est_io))
-                            + model.scaled_cpu(cpu_base + coord_clock.seconds()),
-                    );
-                }
+                // Deadline at partition granularity: the coordinator's own
+                // meter plus every forked delta folded in so far.
+                let at = |est_io: &IoStats| {
+                    model.seconds(&disk.stats().plus(est_io))
+                        + model.scaled_cpu(cpu_base + coord_clock.seconds())
+                };
+                sink.charge("join", at(&est_io));
                 match result {
                     Ok(t) => {
                         est_io = est_io.plus(&t.io);
-                        if ctl.observed() && first_err.is_none() {
-                            ctl.event(
-                                "partition-done",
-                                model.seconds(&disk.stats().plus(&est_io))
-                                    + model.scaled_cpu(cpu_base + coord_clock.seconds()),
-                                &[
-                                    ("partition", u64::from(i)),
-                                    ("candidates", t.deltas.0),
-                                    ("results", t.deltas.1),
-                                    ("duplicates", t.deltas.2),
-                                    ("pages_read", t.io.pages_read),
-                                    ("pages_written", t.io.pages_written),
-                                    ("committed", checkpointing as u64),
-                                ],
-                            );
-                        }
-                        if first_err.is_none() {
-                            if let Some(cp) = cp.as_mut() {
-                                // Emission happens after the durable commit,
-                                // so the task's pipelined first-pair position
-                                // includes its full join work plus the commit
-                                // I/O that precedes delivery.
-                                let io_c0 = disk.stats();
-                                let mut task_first: Option<(f64, IoStats)> = None;
-                                let mut track = |a: RecordId, b: RecordId| {
-                                    if task_first.is_none() {
-                                        task_first = Some((
-                                            cpu_base + t.cpu,
-                                            base_io
-                                                .plus(&t.io)
-                                                .plus(&disk.stats().delta(&io_c0)),
-                                        ));
-                                    }
-                                    out(a, b);
-                                };
-                                let res = commit_and_emit(
-                                    cp,
-                                    disk,
-                                    io_ckpt,
-                                    ckpt_commits,
-                                    i,
-                                    &t.pairs,
-                                    t.deltas,
-                                    &mut track,
-                                );
-                                if let Some(f) = task_first {
-                                    fold_first(first_pos_ref, f);
-                                }
-                                if let Err(e) = res {
-                                    first_err = Some(e);
-                                }
-                            } else {
-                                if let Some(f) = t.first {
-                                    fold_first(
-                                        first_pos_ref,
-                                        (cpu_base + f.0, base_io.plus(&f.1)),
-                                    );
-                                }
-                                for (a, b) in t.pairs {
-                                    out(a, b);
-                                }
-                                if let Some(w) = candidates.as_mut() {
-                                    for pair in t.cand {
-                                        if let Err(e) = w.try_push(&pair) {
-                                            first_err.get_or_insert(JoinError::new("dedup", e));
-                                            break;
-                                        }
-                                    }
+                        // A checkpointed task's pairs wait for its durable
+                        // commit, so their position includes its full work.
+                        let first = if checkpointing {
+                            Some((cpu_base + t.cpu, base_io.plus(&t.io)))
+                        } else {
+                            t.first.map(|f| (cpu_base + f.0, base_io.plus(&f.1)))
+                        };
+                        let unit = Finished {
+                            partition: i,
+                            chunk: None,
+                            counts: t.deltas,
+                            io: Some(t.io),
+                            pairs: &t.pairs,
+                            first,
+                        };
+                        sink.commit_and_emit(unit, &|| at(&est_io), out);
+                        if let Some(w) = candidates.as_mut().filter(|_| sink.is_live()) {
+                            for pair in t.cand {
+                                if let Err(e) = w.try_push(&pair) {
+                                    sink.fail(JoinError::new("dedup", e));
+                                    break;
                                 }
                             }
                         }
                     }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
+                    Err(e) => sink.fail(e),
                 }
                 if !checkpointing {
                     disk.delete(files_r[i as usize]);
                     disk.delete(files_s[i as usize]);
-                } else if first_err.is_some() {
-                    // A checkpointed run that hit a terminal error (crash,
-                    // commit failure) is dead: stop the workers from
-                    // claiming further partitions, like the process exit
-                    // they are simulating would. Committed state stays.
-                    ctl.cancel.cancel();
                 }
             },
         );
@@ -1138,7 +948,7 @@ pub fn try_pbsm_join_ctl(
         // Cross-check the scheduler's own requeue count against the
         // per-worker accounting (they can only diverge when a cancellation
         // leaves a queued retry unclaimed).
-        if first_err.is_none() && !ctl.cancel.is_cancelled() {
+        if sink.is_live() && !ctl.cancel.is_cancelled() {
             debug_assert_eq!(
                 u64::from(stats.requeued_partitions),
                 pool.requeues,
@@ -1156,9 +966,7 @@ pub fn try_pbsm_join_ctl(
                 ],
             );
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        sink.check()?;
     }
 
     ctl.span(
@@ -1171,6 +979,7 @@ pub fn try_pbsm_join_ctl(
     );
 
     // --- Phase 4 (SortPhase only): sort candidates, drop duplicates --------
+    let mut first_pos = sink.first();
     if let (Some(ddisk), Some(writer)) = (dedup_disk, candidates) {
         let t3 = Instant::now();
         let cpu_pre = stats.cpu_partition + stats.cpu_repart + stats.cpu_join;
@@ -1222,66 +1031,18 @@ pub fn try_pbsm_join_ctl(
 
     // Publish `Done` and drop the partition files; the journal, results and
     // manifest files remain as the run's durable record.
-    if let Some(cp) = cp.as_mut() {
-        let c0 = disk.stats();
-        let res = cp.finish();
-        stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-        res?;
-    }
+    sink.publish(|cp| cp.finish())?;
+    stats.io_checkpoint = sink.io_checkpoint;
+    stats.checkpoint_commits = sink.commits;
     stats.first_result_cpu = first_pos.as_ref().map(|p| p.0);
     stats.first_result_io = first_pos.map(|p| p.1);
-    // Channel decomposition of this run's I/O: run-relative deltas of the
-    // disk's per-channel meters (every fork has folded back by now), with
-    // the dedup scratch disk's traffic on the shared lane — its files are
-    // untagged, so its time serializes like any shared file.
-    let ch_end = disk.channel_stats();
-    stats.io_shared = ch_end[0].delta(&ch0[0]).plus(&stats.io_dedup);
-    stats.io_channels = ch_end[1..]
-        .iter()
-        .zip(ch0[1..].iter())
-        .map(|(e, s)| e.delta(s))
-        .collect();
+    // Channel decomposition of this run's I/O (every fork has folded back
+    // by now), with the dedup scratch disk's traffic on the shared lane —
+    // its files are untagged, so its time serializes like any shared file.
+    let (shared, channels) = disk.channel_deltas(&ch0);
+    stats.io_shared = shared.plus(&stats.io_dedup);
+    stats.io_channels = channels;
     Ok(stats)
-}
-
-/// Commit-protocol steps 2–4 for one finished partition: durably flush its
-/// buffered pairs to the results file, append its journal record (the
-/// commit point — crash injection fires here), and only then emit the pairs
-/// downstream. The checkpoint I/O delta is folded into `io_ckpt`, and each
-/// durable journal record bumps `commits`.
-#[allow(clippy::too_many_arguments)] // internal commit driver; the args are the commit state
-fn commit_and_emit(
-    cp: &mut RunCheckpoint,
-    disk: &SimDisk,
-    io_ckpt: &mut IoStats,
-    commits: &mut u64,
-    partition: u32,
-    pairs: &[(RecordId, RecordId)],
-    (candidates, results, duplicates): (u64, u64, u64),
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
-    let io0 = disk.stats();
-    let encoded: Vec<IdPair> = pairs
-        .iter()
-        .map(|&(a, b)| IdPair { r: a.0, s: b.0 })
-        .collect();
-    let res = cp
-        .append_results(&encoded)
-        .and_then(|()| cp.commit_partition(partition, candidates, results, duplicates));
-    *io_ckpt = io_ckpt.plus(&disk.stats().delta(&io0));
-    // The durable journal record — not the process's last instruction — is
-    // the delivery boundary: a resume skips every committed partition, so a
-    // committed partition's pairs must reach the consumer even when the
-    // injected crash fires between the commit and this loop (otherwise they
-    // would be emitted by neither leg). An uncommitted partition's pairs
-    // stay unemitted; the resume recomputes and emits them.
-    if res.is_ok() || cp.is_committed(partition) {
-        *commits += 1;
-        for &(a, b) in pairs {
-            out(a, b);
-        }
-    }
-    res
 }
 
 /// Phase 1 for one relation: replicate each KPE into the partition of every
@@ -1360,10 +1121,12 @@ fn partition_relation(
     Ok((files, copies))
 }
 
-/// Joins one loaded partition pair with the configured duplicate handling.
-/// `cand` receives sort-phase candidate pairs (in emission order); the
-/// sequential executor writes them straight to the candidate file, the
-/// parallel executor buffers them per task for canonical-order reassembly.
+/// Joins one loaded partition pair with the configured duplicate handling —
+/// a pair `join_pair` read from its files, or, on the single-partition
+/// plan, the whole input straight from memory. `cand` receives sort-phase
+/// candidate pairs (in emission order); the sequential executor writes them
+/// straight to the candidate file, the parallel executor buffers them per
+/// task for canonical-order reassembly.
 fn join_loaded(
     ctx: &mut Ctx<'_>,
     rv: &mut [Kpe],

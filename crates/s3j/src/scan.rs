@@ -1,12 +1,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId};
 use sfc::{Cell, Curve, MAX_LEVEL};
 use storage::{
-    try_external_sort_by, DiskModel, FileId, IdPair, IoError, IoStats, JoinError, RecordReader,
-    RecordWriter, RunCheckpoint, RunControl, RunPhase, SimDisk,
+    try_external_sort_by, ClockPos, DiskModel, FileId, Finished, IoError, IoStats, JoinError,
+    PartitionSink, RecordReader, RecordWriter, RunControl, RunPhase, SimDisk,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -578,46 +579,6 @@ fn unpack_levels(files: &[FileId]) -> Vec<Option<FileId>> {
         .collect()
 }
 
-/// Commit-protocol steps 2–4 for one discovered partition: durably flush
-/// its buffered pairs to the results file, append its journal record (the
-/// commit point — crash injection fires here), and only then emit the pairs
-/// downstream. The checkpoint I/O delta is folded into `io_ckpt`, and each
-/// durable journal record bumps `commits`.
-#[allow(clippy::too_many_arguments)] // internal commit driver; the args are the commit state
-fn commit_and_emit(
-    cp: &mut RunCheckpoint,
-    disk: &SimDisk,
-    io_ckpt: &mut IoStats,
-    commits: &mut u64,
-    partition: u32,
-    pairs: &[(RecordId, RecordId)],
-    (candidates, results, duplicates): (u64, u64, u64),
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
-    let io0 = disk.stats();
-    let encoded: Vec<IdPair> = pairs
-        .iter()
-        .map(|&(a, b)| IdPair { r: a.0, s: b.0 })
-        .collect();
-    let res = cp
-        .append_results(&encoded)
-        .and_then(|()| cp.commit_partition(partition, candidates, results, duplicates));
-    *io_ckpt = io_ckpt.plus(&disk.stats().delta(&io0));
-    // The durable journal record — not the process's last instruction — is
-    // the delivery boundary: a resume skips every committed partition, so a
-    // committed partition's pairs must reach the consumer even when the
-    // injected crash fires between the commit and this loop (otherwise they
-    // would be emitted by neither leg). An uncommitted partition's pairs
-    // stay unemitted; the resume recomputes and emits them.
-    if res.is_ok() || cp.is_committed(partition) {
-        *commits += 1;
-        for &(a, b) in pairs {
-            out(a, b);
-        }
-    }
-    res
-}
-
 /// Sort-phase quarantine-recompute: `damaged` (an unsorted level file on
 /// persistently bad media, or one whose sort ran out of disk) is abandoned;
 /// the level's records are recomputed from the source relation (free, paper
@@ -689,8 +650,8 @@ pub fn try_s3j_join_ctl(
     ctl: &RunControl,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<S3jStats, JoinError> {
-    let mut cp = ctl.checkpoint.as_ref().map(|m| m.lock());
-    let checkpointing = cp.is_some();
+    let mut sink = PartitionSink::new(ctl, disk);
+    let checkpointing = sink.is_checkpointing();
     if checkpointing && !matches!(cfg.scan, ScanMode::HeapMerge) {
         return Err(JoinError::new("setup", IoError::unsupported()));
     }
@@ -700,29 +661,26 @@ pub fn try_s3j_join_ctl(
     // seconds plus scaled CPU.
     let sim_at = |io: &IoStats, cpu: f64| model.seconds(io) + model.scaled_cpu(cpu);
 
+    // A resumed join phase folds the journaled counters in, so its reported
+    // totals match an uninterrupted run's (the committed partitions' pairs
+    // were already emitted by the crashed process after each commit).
+    (stats.candidates, stats.results, stats.duplicates) = sink.committed_totals();
+    let phase = sink.checkpoint().map(|c| c.phase());
     // A recovered run that already published `Done`: everything was emitted
     // before the original process exited, so report the journaled totals
     // and emit nothing (re-emitting would break exactly-once).
-    if let Some(c) = cp.as_deref() {
-        if c.phase() == RunPhase::Done {
-            for e in c.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-            return Ok(stats);
-        }
+    if phase == Some(RunPhase::Done) {
+        return Ok(stats);
     }
     // A published manifest's level-file lists: unsorted when the run died
     // in the sort phase, sorted once the `Join` manifest was out. A freshly
     // started checkpoint is also in `Partition` phase but has no files yet.
-    let manifest_levels = cp.as_deref().and_then(|c| {
+    let manifest_levels = sink.checkpoint().and_then(|c| {
         let (fr, fs) = c.files();
         (!(fr.is_empty() && fs.is_empty())).then(|| (unpack_levels(fr), unpack_levels(fs)))
     });
-    let resume_join = cp.as_deref().is_some_and(|c| c.phase() == RunPhase::Join);
-    let resume_build = cp.as_deref().is_some_and(|c| c.phase() == RunPhase::Partition)
-        && manifest_levels.is_some();
+    let resume_join = phase == Some(RunPhase::Join);
+    let resume_build = phase == Some(RunPhase::Partition) && manifest_levels.is_some();
 
     // --- Phase 1: partitioning into level files -----------------------------
     let t0 = Instant::now();
@@ -789,13 +747,9 @@ pub fn try_s3j_join_ctl(
     // sort phase resumes from the intact unsorted level files instead of
     // re-partitioning.
     if !(resume_join || resume_build) {
-        if let Some(c) = cp.as_deref_mut() {
-            let c0 = disk.stats();
-            let res =
-                c.commit_partition_phase(&pack_levels(&unsorted_r), &pack_levels(&unsorted_s));
-            stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-            res?;
-        }
+        sink.publish(|c| {
+            c.commit_partition_phase(&pack_levels(&unsorted_r), &pack_levels(&unsorted_s))
+        })?;
     }
 
     // --- Phase 2: sort every level file by locational code ------------------
@@ -915,11 +869,10 @@ pub fn try_s3j_join_ctl(
         // Publish the `Join` manifest (journal + results + sorted files):
         // from here on per-partition commits are durable, and the unsorted
         // level files are no longer needed by any resume.
-        if let Some(c) = cp.as_deref_mut() {
-            let c0 = disk.stats();
-            let res = c.commit_join_phase(0, &pack_levels(&sorted_r), &pack_levels(&sorted_s));
-            stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-            res?;
+        if checkpointing {
+            sink.publish(|c| {
+                c.commit_join_phase(0, &pack_levels(&sorted_r), &pack_levels(&sorted_s))
+            })?;
             for f in unsorted_r.iter().chain(unsorted_s.iter()).flatten() {
                 disk.delete(*f);
             }
@@ -932,39 +885,20 @@ pub fn try_s3j_join_ctl(
         sim_at(&disk.stats(), stats.cpu_partition + stats.cpu_sort),
     );
 
-    // A resumed join phase folds the journaled counters in, so its reported
-    // totals match an uninterrupted run's (the committed partitions' pairs
-    // were already emitted by the crashed process after each commit).
-    if resume_join {
-        if let Some(c) = cp.as_deref() {
-            for e in c.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-        }
-    }
-
     // --- Phase 3: synchronized scan ------------------------------------------
     // On-CPU compute clock (wall fallback): keeps the sequential and
     // parallel join-phase measurements on the same basis, so speedup ratios
     // are meaningful even on an oversubscribed host.
     let t2 = parallel::WorkClock::start();
     let io2 = disk.stats();
-    let ckpt2 = stats.io_checkpoint;
+    let ckpt2 = sink.io_checkpoint;
     let threads = parallel::resolve_threads(cfg.threads);
     // Simulated time so far — what the deadline is charged against at every
     // discovered partition (S³J scan workers do no I/O, so the
     // coordinator's meter is the whole story).
     let cpu_base = stats.cpu_partition + stats.cpu_sort;
     let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + t2.seconds());
-    // Earliest result on the pipelined clock: (CPU position, this run's I/O
-    // meter) at the first delivered pair, minimized over emitting tasks.
-    // Run-relative (`delta(&io0)`) so a reused disk's earlier charges never
-    // leak into the probe.
-    let mut first_pos: Option<(f64, IoStats)> = None;
-    let scan_res: Result<(), JoinError> = if matches!(cfg.scan, ScanMode::HeapMerge) && threads > 1
-    {
+    if matches!(cfg.scan, ScanMode::HeapMerge) && threads > 1 {
         // `cpu_join` is assembled inside: the coordinator's discovery scan
         // plus the max-over-workers on-CPU join time — the phase cost on
         // dedicated cores, which the pool barrier realises as wall time on
@@ -979,25 +913,25 @@ pub fn try_s3j_join_ctl(
             &sorted_s,
             &mut stats,
             ctl,
-            cp.as_deref_mut(),
+            &mut sink,
             &io0,
-            &mut first_pos,
             &elapsed_now,
             out,
-        )
+        );
     } else {
         // Sequential scans emit in discovery order against a monotone meter,
-        // so the first delivery is already the minimum; reading the live
+        // so the first delivery is already the earliest; reading the live
         // clocks at that moment matches the parallel probe exactly on the
         // I/O axis (discovery I/O through the emitting partition, plus its
-        // commit when checkpointed).
+        // commit when checkpointed). Run-relative (`delta(&io0)`) so a
+        // reused disk's earlier charges never leak into the probe.
+        let mut first: Option<ClockPos> = None;
         let mut wrapped_out = |a: RecordId, b: RecordId| {
-            if first_pos.is_none() {
-                first_pos = Some((cpu_base + t2.seconds(), disk.stats().delta(&io0)));
+            if first.is_none() {
+                first = Some((cpu_base + t2.seconds(), disk.stats().delta(&io0)));
             }
             out(a, b);
         };
-        let out = &mut wrapped_out as &mut dyn FnMut(RecordId, RecordId);
         let mut ctx = JoinCtx {
             cfg,
             internal: cfg.internal.create(),
@@ -1005,7 +939,7 @@ pub fn try_s3j_join_ctl(
             results: 0,
             duplicates: 0,
         };
-        let res = match cfg.scan {
+        match cfg.scan {
             ScanMode::HeapMerge => heap_scan(
                 disk,
                 cfg,
@@ -1015,38 +949,44 @@ pub fn try_s3j_join_ctl(
                 &sorted_s,
                 &mut ctx,
                 &mut stats,
-                ctl,
-                cp.as_deref_mut(),
+                &mut sink,
                 &elapsed_now,
-                out,
+                &mut wrapped_out,
             ),
-            ScanMode::LevelPairs => pair_scan(
-                disk,
-                cfg,
-                r,
-                s,
-                &sorted_r,
-                &sorted_s,
-                &mut ctx,
-                &mut stats,
-                ctl,
-                &elapsed_now,
-                out,
-            ),
-        };
+            ScanMode::LevelPairs => {
+                let res = pair_scan(
+                    disk,
+                    cfg,
+                    r,
+                    s,
+                    &sorted_r,
+                    &sorted_s,
+                    &mut ctx,
+                    &mut stats,
+                    ctl,
+                    &elapsed_now,
+                    &mut wrapped_out,
+                );
+                if let Err(e) = res {
+                    sink.fail(e);
+                }
+            }
+        }
+        if let Some(f) = first {
+            sink.offer_first(f);
+        }
         stats.candidates += ctx.candidates;
         stats.results += ctx.results;
         stats.duplicates += ctx.duplicates;
         stats.join_counters = ctx.internal.counters();
         stats.cpu_join = t2.seconds();
-        res
-    };
+    }
     // Join-phase I/O excludes what the checkpoint layer did mid-scan (those
     // commits are accounted under `io_checkpoint`).
     stats.io_join = disk
         .stats()
         .delta(&io2)
-        .delta(&stats.io_checkpoint.delta(&ckpt2));
+        .delta(&sink.io_checkpoint.delta(&ckpt2));
     ctl.span(
         "scan",
         sim_at(&io2, cpu_base),
@@ -1061,65 +1001,61 @@ pub fn try_s3j_join_ctl(
             disk.delete(*f);
         }
     }
-    scan_res?;
+    sink.check()?;
     // Publish `Done` and drop the sorted level files; the journal, results
     // and manifest files remain as the run's durable record.
-    if let Some(c) = cp.as_deref_mut() {
-        let c0 = disk.stats();
-        let res = c.finish();
-        stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-        res?;
-    }
-    stats.first_result_cpu = first_pos.as_ref().map(|p| p.0);
-    stats.first_result_io = first_pos.map(|p| p.1);
-    // Channel decomposition of this run's I/O: run-relative deltas of the
-    // disk's per-channel meters. All S³J I/O happens on the coordinator
-    // (scan workers are pure CPU), so no fork folding is needed.
-    let ch_end = disk.channel_stats();
-    stats.io_shared = ch_end[0].delta(&ch0[0]);
-    stats.io_channels = ch_end[1..]
-        .iter()
-        .zip(ch0[1..].iter())
-        .map(|(e, s)| e.delta(s))
-        .collect();
+    sink.publish(|c| c.finish())?;
+    stats.io_checkpoint = sink.io_checkpoint;
+    stats.checkpoint_commits = sink.commits;
+    stats.first_result_cpu = sink.first().map(|p| p.0);
+    stats.first_result_io = sink.first().map(|p| p.1);
+    // Channel decomposition of this run's I/O. All S³J I/O happens on the
+    // coordinator (scan workers are pure CPU), so no fork folding is needed.
+    (stats.io_shared, stats.io_channels) = disk.channel_deltas(&ch0);
     Ok(stats)
 }
 
-/// §4.4.3: one pass over all level files, merged by a heap of cursors in
-/// pre-order; per relation a stack of the partitions on the current root
-/// path. A new partition is joined against the other relation's stack (its
-/// cell's ancestors-or-equal), then pushed on its own stack.
+/// What [`discover`] does with each discovered partition that has work:
+/// `(sink, discovery index, new partition, the other relation's root path)`.
+type Visit<'v> = dyn FnMut(&mut PartitionSink<'_>, u32, &mut Arc<Part>, &mut [Arc<Part>]) + 'v;
+
+/// §4.4.3's discovery walk, shared by both scan executors: one pass over all
+/// level files, merged by a heap of cursors in pre-order; per relation a
+/// stack of the partitions on the current root path. Each new partition is
+/// handed to `visit` with its discovery index and the other relation's root
+/// path (its cell's ancestors-or-equal, so the new partition is always the
+/// deeper one), then pushed on its own stack.
 ///
 /// Partitions are numbered in discovery order — the journal's work unit.
-/// Under a checkpoint each partition's pairs are buffered, durably flushed,
-/// journaled, and only then emitted; a resumed run skips committed
-/// partitions (their pairs were emitted by the original process after the
-/// commit) while still maintaining the stacks they feed.
+/// `visit` only sees partitions that have something to join against and
+/// that the journal has not committed: a resumed run skips those (the
+/// interrupted process emitted their pairs after the commit) while still
+/// maintaining the stacks they feed. Cancellation and the deadline are
+/// checked per discovered partition; the walk stops at the first error the
+/// sink latches.
 #[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
-fn heap_scan(
+fn discover(
     disk: &SimDisk,
     cfg: &S3jConfig,
     r: &[Kpe],
     s: &[Kpe],
     sorted_r: &[Option<FileId>],
     sorted_s: &[Option<FileId>],
-    ctx: &mut JoinCtx<'_>,
     stats: &mut S3jStats,
-    ctl: &RunControl,
-    mut cp: Option<&mut RunCheckpoint>,
+    sink: &mut PartitionSink<'_>,
     elapsed: &dyn Fn() -> f64,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
+    visit: &mut Visit<'_>,
+) {
     let to_err = |e: IoError| JoinError::new("scan", e);
     let mut cursors: Vec<Cursor<'_>> = Vec::new();
     for (rel, files) in [(0usize, sorted_r), (1, sorted_s)] {
         for (level, f) in files.iter().enumerate() {
             if let Some(f) = f {
                 let src = LevelSource::for_rel(cfg, r, s, rel);
-                cursors.push(
-                    Cursor::new(disk, *f, level as u8, rel, cfg.io_buffer_pages, src)
-                        .map_err(to_err)?,
-                );
+                match Cursor::new(disk, *f, level as u8, rel, cfg.io_buffer_pages, src) {
+                    Ok(c) => cursors.push(c),
+                    Err(e) => return sink.fail(to_err(e)),
+                }
             }
         }
     }
@@ -1129,18 +1065,20 @@ fn heap_scan(
             heap.push(Reverse((start, level, rel, i)));
         }
     }
-    let mut stacks: [Vec<Part>; 2] = [Vec::new(), Vec::new()];
+    let mut stacks: [Vec<Arc<Part>>; 2] = [Vec::new(), Vec::new()];
     let mut resident = 0usize;
     let mut d: u32 = 0; // discovery index
     while let Some(Reverse((_, _, _, ci))) = heap.pop() {
-        // Interruption check at partition granularity; a checkpointed run's
-        // committed prefix stays durable and resumable.
-        if let Some(e) = ctl.charge("scan", elapsed()) {
-            return Err(e);
+        if !sink.charge("scan", elapsed()) {
+            break;
         }
-        let mut part = cursors[ci]
-            .take_partition(cfg.curve, cfg.max_level)
-            .map_err(to_err)?;
+        let part = match cursors[ci].take_partition(cfg.curve, cfg.max_level) {
+            Ok(part) => part,
+            Err(e) => {
+                sink.fail(to_err(e));
+                break;
+            }
+        };
         if let Some((st, lv, rl)) = cursors[ci].peek_key(cfg.max_level) {
             heap.push(Reverse((st, lv, rl, ci)));
         }
@@ -1154,56 +1092,13 @@ fn heap_scan(
                 stack.pop();
             }
         }
-        // Join against the other relation's root path. Every stack entry is
-        // an ancestor-or-equal cell, so `part` is always the deeper one.
-        // Partitions with nothing to join against do no work and are never
-        // journaled.
-        let committed = cp.as_deref().is_some_and(|c| c.is_committed(d));
-        let base = (ctx.candidates, ctx.results, ctx.duplicates);
-        let other_stack = &mut stacks[1 - part.rel];
-        let has_work = !other_stack.is_empty();
-        if !committed && has_work {
-            match cp.as_deref_mut() {
-                Some(c) => {
-                    let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
-                    for q in other_stack.iter_mut() {
-                        ctx.join_parts(&mut part, q, &mut |a, b| pairs.push((a, b)));
-                    }
-                    let deltas = (
-                        ctx.candidates - base.0,
-                        ctx.results - base.1,
-                        ctx.duplicates - base.2,
-                    );
-                    commit_and_emit(
-                        c,
-                        disk,
-                        &mut stats.io_checkpoint,
-                        &mut stats.checkpoint_commits,
-                        d,
-                        &pairs,
-                        deltas,
-                        out,
-                    )?;
-                }
-                None => {
-                    for q in other_stack.iter_mut() {
-                        ctx.join_parts(&mut part, q, out);
-                    }
-                }
+        let mut part = Arc::new(part);
+        let others = &mut stacks[1 - part.rel];
+        if !others.is_empty() && !sink.is_committed(d) {
+            visit(sink, d, &mut part, others);
+            if !sink.is_live() {
+                break;
             }
-        }
-        if ctl.observed() && has_work {
-            ctl.event(
-                "partition-done",
-                elapsed(),
-                &[
-                    ("partition", u64::from(d)),
-                    ("candidates", ctx.candidates - base.0),
-                    ("results", ctx.results - base.1),
-                    ("duplicates", ctx.duplicates - base.2),
-                    ("committed", u64::from(committed || cp.is_some())),
-                ],
-            );
         }
         resident += part.rects.len() * Kpe::ENCODED_SIZE;
         stats.peak_partition_bytes = stats.peak_partition_bytes.max(resident);
@@ -1211,19 +1106,69 @@ fn heap_scan(
         d += 1;
     }
     stats.quarantined_levels += cursors.iter().filter(|c| c.quarantined).count() as u32;
-    Ok(())
 }
 
-/// Parallel variant of [`heap_scan`]: the discovery traversal (cursors,
-/// heap, root-path stacks) runs unchanged on the coordinator — it is the
-/// only I/O — but instead of joining inline, every (new partition, stack
-/// entry) pair is queued over `Arc`-shared partitions and workers claim
-/// contiguous chunks of the queue. Workers join pristine clones (internal
-/// joins reorder rects in place) and buffer their result pairs; the pool
-/// re-assembles chunk outputs in discovery order, so
-/// the emitted stream is identical to the sequential scan, and the modified
-/// RPM (§4.3) keeps the union of task outputs duplicate-free no matter how
-/// tasks interleave.
+/// Sequential synchronized scan: every discovered partition is joined inline
+/// against the other relation's root path and delivered through the sink.
+/// An unchecked run streams its pairs straight to `out`; under a checkpoint
+/// they are buffered until the partition's commit.
+#[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
+fn heap_scan(
+    disk: &SimDisk,
+    cfg: &S3jConfig,
+    r: &[Kpe],
+    s: &[Kpe],
+    sorted_r: &[Option<FileId>],
+    sorted_s: &[Option<FileId>],
+    ctx: &mut JoinCtx<'_>,
+    stats: &mut S3jStats,
+    sink: &mut PartitionSink<'_>,
+    elapsed: &dyn Fn() -> f64,
+    out: &mut dyn FnMut(RecordId, RecordId),
+) {
+    let only = "the sequential scan holds the only handle";
+    let mut visit =
+        |sink: &mut PartitionSink<'_>, d: u32, part: &mut Arc<Part>, others: &mut [Arc<Part>]| {
+            let part = Arc::get_mut(part).expect(only);
+            let base = (ctx.candidates, ctx.results, ctx.duplicates);
+            let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
+            for q in others.iter_mut() {
+                let q = Arc::get_mut(q).expect(only);
+                if sink.is_checkpointing() {
+                    ctx.join_parts(part, q, &mut |a, b| pairs.push((a, b)));
+                } else {
+                    ctx.join_parts(part, q, out);
+                }
+            }
+            let unit = Finished {
+                partition: d,
+                chunk: None,
+                counts: (
+                    ctx.candidates - base.0,
+                    ctx.results - base.1,
+                    ctx.duplicates - base.2,
+                ),
+                io: None,
+                pairs: &pairs,
+                // `out` itself records the first delivery's position.
+                first: None,
+            };
+            sink.commit_and_emit(unit, elapsed, out);
+        };
+    discover(
+        disk, cfg, r, s, sorted_r, sorted_s, stats, sink, elapsed, &mut visit,
+    );
+}
+
+/// Parallel synchronized scan: the discovery walk runs unchanged on the
+/// coordinator — it is the only I/O — but instead of joining inline, every
+/// (new partition, stack entry) pair is queued over `Arc`-shared partitions
+/// and workers claim contiguous chunks of the queue. Workers join pristine
+/// clones (internal joins reorder rects in place) and buffer their result
+/// pairs; the pool re-assembles chunk outputs in discovery order, so the
+/// emitted stream is identical to the sequential scan, and the modified RPM
+/// (§4.3) keeps the union of task outputs duplicate-free no matter how tasks
+/// interleave.
 #[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
 fn heap_scan_parallel(
     disk: &SimDisk,
@@ -1235,94 +1180,42 @@ fn heap_scan_parallel(
     sorted_s: &[Option<FileId>],
     stats: &mut S3jStats,
     ctl: &RunControl,
-    mut cp: Option<&mut RunCheckpoint>,
+    sink: &mut PartitionSink<'_>,
     io0: &IoStats,
-    first_pos: &mut Option<(f64, IoStats)>,
     elapsed: &dyn Fn() -> f64,
     out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
-    use std::sync::Arc;
-
-    let to_err = |e: IoError| JoinError::new("scan", e);
+) {
     let cpu_base = stats.cpu_partition + stats.cpu_sort;
     // Scan-phase checkpoint I/O accumulated so far (build/sort publishes):
     // subtracted out when reconstructing the sequential meter position of a
     // mid-scan delivery.
-    let ckpt0 = stats.io_checkpoint;
+    let ckpt0 = sink.io_checkpoint;
     let t_discover = parallel::WorkClock::start();
-    let mut cursors: Vec<Cursor<'_>> = Vec::new();
-    for (rel, files) in [(0usize, sorted_r), (1, sorted_s)] {
-        for (level, f) in files.iter().enumerate() {
-            if let Some(f) = f {
-                let src = LevelSource::for_rel(cfg, r, s, rel);
-                cursors.push(
-                    Cursor::new(disk, *f, level as u8, rel, cfg.io_buffer_pages, src)
-                        .map_err(to_err)?,
-                );
-            }
-        }
-    }
-    let mut heap: BinaryHeap<Reverse<(u64, u8, usize, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter().enumerate() {
-        if let Some((start, level, rel)) = c.peek_key(cfg.max_level) {
-            heap.push(Reverse((start, level, rel, i)));
-        }
-    }
-    let mut stacks: [Vec<Arc<Part>>; 2] = [Vec::new(), Vec::new()];
-    let mut resident = 0usize;
     let mut tasks: Vec<(Arc<Part>, Arc<Part>)> = Vec::new();
     // Per task: the run-relative I/O meter right after its partition's
     // discovery read — exactly the sequential scan's meter position when it
     // would join that partition (scan workers do no I/O). Feeds the
     // pipelined first-result probe; kept aligned with `tasks`.
     let mut snaps: Vec<IoStats> = Vec::new();
-    // The pair ranges of the task list that belong to each uncommitted
-    // discovered partition (checkpointed runs only — see `units` below).
+    // The pair range of the task list that belongs to each discovered
+    // partition (checkpointed runs only — see `units` below).
     let mut partition_ranges: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
-    let mut d: u32 = 0; // discovery index, identical to the sequential scan
-    while let Some(Reverse((_, _, _, ci))) = heap.pop() {
-        if let Some(e) = ctl.charge("scan", elapsed()) {
-            return Err(e);
-        }
-        let part = cursors[ci]
-            .take_partition(cfg.curve, cfg.max_level)
-            .map_err(to_err)?;
-        if let Some((st, lv, rl)) = cursors[ci].peek_key(cfg.max_level) {
-            heap.push(Reverse((st, lv, rl, ci)));
-        }
-        for stack in stacks.iter_mut() {
-            while let Some(top) = stack.last() {
-                if top.start <= part.start && part.start < top.end {
-                    break; // ancestor (or equal): keep
-                }
-                resident -= top.rects.len() * Kpe::ENCODED_SIZE;
-                stack.pop();
+    let mut visit =
+        |_: &mut PartitionSink<'_>, d: u32, part: &mut Arc<Part>, others: &mut [Arc<Part>]| {
+            let start = tasks.len();
+            let snap = disk.stats().delta(io0);
+            for q in others.iter() {
+                tasks.push((Arc::clone(part), Arc::clone(q)));
+                snaps.push(snap);
             }
-        }
-        let part = Arc::new(part);
-        let start = tasks.len();
-        let snap = disk.stats().delta(io0);
-        for q in stacks[1 - part.rel].iter() {
-            tasks.push((Arc::clone(&part), Arc::clone(q)));
-            snaps.push(snap);
-        }
-        if tasks.len() > start {
-            if cp.as_deref().is_some_and(|c| c.is_committed(d)) {
-                // Resumed run: the crashed process already emitted this
-                // partition's pairs after its commit — skip the work.
-                tasks.truncate(start);
-                snaps.truncate(start);
-            } else {
-                partition_ranges.push((d, start..tasks.len()));
-            }
-        }
-        resident += part.rects.len() * Kpe::ENCODED_SIZE;
-        stats.peak_partition_bytes = stats.peak_partition_bytes.max(resident);
-        stacks[part.rel].push(part);
-        d += 1;
+            partition_ranges.push((d, start..tasks.len()));
+        };
+    discover(
+        disk, cfg, r, s, sorted_r, sorted_s, stats, sink, elapsed, &mut visit,
+    );
+    if !sink.is_live() {
+        return;
     }
-    drop(stacks);
-    stats.quarantined_levels += cursors.iter().filter(|c| c.quarantined).count() as u32;
     let discover_secs = t_discover.seconds();
 
     // S³J partition pairs are tiny (often a handful of rects), so a task
@@ -1331,7 +1224,8 @@ fn heap_scan_parallel(
     // re-assemble in chunk order, which is discovery order. Under a
     // checkpoint the unit is one discovered partition's pair range instead
     // — the span a journal record covers — so commits align with units.
-    let units: Vec<(u32, std::ops::Range<usize>)> = if cp.is_some() {
+    let checkpointing = sink.is_checkpointing();
+    let units: Vec<(u32, std::ops::Range<usize>)> = if checkpointing {
         partition_ranges
     } else {
         let chunk = tasks.len().div_ceil(threads * 16).max(1);
@@ -1340,22 +1234,13 @@ fn heap_scan_parallel(
             .collect()
     };
     let model = stats.model;
-    let mut first_err: Option<JoinError> = None;
-    let io_ckpt = &mut stats.io_checkpoint;
-    let ckpt_commits = &mut stats.checkpoint_commits;
     let units_ref = &units;
     let snaps_ref = &snaps;
-    // Keep whichever candidate sits earliest on the pipelined clock.
-    let fold_first = |slot: &mut Option<(f64, IoStats)>, cand: (f64, IoStats)| {
-        let pos = |p: &(f64, IoStats)| model.scaled_cpu(p.0) + model.seconds(&p.1);
-        if slot.as_ref().is_none_or(|cur| pos(&cand) < pos(cur)) {
-            *slot = Some(cand);
-        }
-    };
+    let cancel = sink.pool_cancel();
     let workers = parallel::run_ordered_with(
         threads,
         units.len(),
-        Some(&ctl.cancel),
+        Some(cancel),
         |_w| {
             (
                 JoinCtx {
@@ -1406,85 +1291,26 @@ fn heap_scan_parallel(
         |u, (pairs, deltas, first)| {
             // Deadline at unit granularity on the coordinator (workers do
             // no I/O, so `elapsed` sees the whole simulated-time story).
-            if first_err.is_none() {
-                first_err = ctl.charge("scan", elapsed());
-            }
-            if ctl.observed() && first_err.is_none() {
-                ctl.event(
-                    "partition-done",
-                    elapsed(),
-                    &[
-                        ("partition", u64::from(units_ref[u].0)),
-                        ("unit", u as u64),
-                        ("candidates", deltas.0),
-                        ("results", deltas.1),
-                        ("duplicates", deltas.2),
-                        ("committed", u64::from(cp.is_some())),
-                    ],
-                );
-            }
-            if first_err.is_none() {
-                match cp.as_deref_mut() {
-                    Some(c) => {
-                        // Reconstruct the sequential meter position of this
-                        // unit's first delivered pair: discovery I/O through
-                        // its partition, scan commits of earlier units, and
-                        // the live delta of its own in-flight commit.
-                        let prior_commits = io_ckpt.delta(&ckpt0);
-                        let io_c0 = disk.stats();
-                        let mut task_first: Option<(f64, IoStats)> = None;
-                        let res = {
-                            let mut track = |a: RecordId, b: RecordId| {
-                                if task_first.is_none() {
-                                    if let Some((ti, fc)) = first {
-                                        task_first = Some((
-                                            cpu_base + discover_secs + fc,
-                                            snaps_ref[ti]
-                                                .plus(&prior_commits)
-                                                .plus(&disk.stats().delta(&io_c0)),
-                                        ));
-                                    }
-                                }
-                                out(a, b);
-                            };
-                            commit_and_emit(
-                                c,
-                                disk,
-                                io_ckpt,
-                                ckpt_commits,
-                                units_ref[u].0,
-                                &pairs,
-                                deltas,
-                                &mut track,
-                            )
-                        };
-                        if let Err(e) = res {
-                            first_err = Some(e);
-                        }
-                        if let Some(f) = task_first {
-                            fold_first(first_pos, f);
-                        }
-                    }
-                    None => {
-                        if let Some((ti, fc)) = first {
-                            fold_first(
-                                first_pos,
-                                (cpu_base + discover_secs + fc, snaps_ref[ti]),
-                            );
-                        }
-                        for (a, b) in pairs {
-                            out(a, b);
-                        }
-                    }
-                }
-            }
-            if first_err.is_some() && cp.is_some() {
-                // A checkpointed run that hit a terminal error (crash
-                // injection, commit failure, deadline) is dead: stop the
-                // workers from claiming further partitions, like the
-                // process exit they simulate. Committed state stays.
-                ctl.cancel.cancel();
-            }
+            sink.charge("scan", elapsed());
+            // The sequential meter position of this unit's first pair:
+            // discovery I/O through its partition plus the scan commits of
+            // earlier units (the sink adds the unit's own commit).
+            let prior_commits = sink.io_checkpoint.delta(&ckpt0);
+            let first = first.map(|(ti, fc): (usize, f64)| {
+                (
+                    cpu_base + discover_secs + fc,
+                    snaps_ref[ti].plus(&prior_commits),
+                )
+            });
+            let unit = Finished {
+                partition: units_ref[u].0,
+                chunk: (!checkpointing).then_some(u as u64),
+                counts: deltas,
+                io: None,
+                pairs: &pairs,
+                first,
+            };
+            sink.commit_and_emit(unit, elapsed, out);
         },
     );
     for (ctx, cpu, _clock, _scratch) in workers {
@@ -1520,10 +1346,6 @@ fn heap_scan_parallel(
                 ("threads", threads as u64),
             ],
         );
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -1970,7 +1792,7 @@ mod tests {
 #[cfg(test)]
 mod rpm_unit_tests {
     use super::*;
-    use geom::{Kpe, Rect, RecordId};
+    use geom::{Kpe, RecordId, Rect};
 
     fn run_cfg(r: &[Kpe], s: &[Kpe], cfg: &S3jConfig) -> (Vec<(u64, u64)>, S3jStats) {
         let disk = SimDisk::with_default_model();

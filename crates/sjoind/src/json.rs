@@ -25,6 +25,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -145,9 +146,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting a document may have. Requests, responses
+/// and `BENCHMARK.json` nest at most four deep; the bound keeps the
+/// recursive descent's stack use fixed, so one hostile line cannot overflow
+/// a session thread's stack (which aborts the whole process — a stack
+/// overflow is not a catchable panic).
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -195,8 +205,8 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -204,6 +214,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one container with `parse`, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -388,6 +413,13 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2", ""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
         }
+        // Nesting is capped at MAX_DEPTH: a hostile line is a typed error,
+        // not a stack overflow.
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

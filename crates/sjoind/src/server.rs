@@ -20,7 +20,7 @@
 //! worker stops at the next partition boundary and the lease is released.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -183,14 +183,33 @@ impl ServerHandle {
     }
 }
 
+/// `accept` failures that say nothing about the listener itself: out of
+/// file descriptors (per process, `EMFILE`, or system-wide, `ENFILE` —
+/// Linux numbering) or a peer that hung up while queued. The loop backs off
+/// and keeps accepting; finished sessions free descriptors meanwhile.
+fn accept_error_is_transient(e: &io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    e.kind() == io::ErrorKind::ConnectionAborted
+        || matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
+}
+
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     let _ = listener.set_nonblocking(true);
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    let mut session_socks: Vec<TcpStream> = Vec::new();
+    // Live sessions: the thread plus a socket clone the drain uses to hang
+    // up an idle client.
+    let mut sessions: Vec<(JoinHandle<()>, Option<TcpStream>)> = Vec::new();
     let mut next_id = 0u64;
     loop {
         if inner.draining.load(Ordering::Acquire) {
             break;
+        }
+        // Reap finished sessions: joining the thread and dropping the
+        // socket clone release the session's last descriptor.
+        for (h, _) in sessions.extract_if(.., |(h, _)| h.is_finished()) {
+            if h.join().is_err() {
+                inner.log("session thread panicked");
+            }
         }
         match listener.accept() {
             Ok((stream, peer)) => {
@@ -198,14 +217,19 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
                 let id = next_id;
                 inner.log(&format!("session {id}: accepted {peer}"));
                 let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    session_socks.push(clone);
-                }
+                let clone = stream.try_clone().ok();
                 let inner2 = Arc::clone(&inner);
-                sessions.push(std::thread::spawn(move || session(inner2, stream, id)));
+                sessions.push((
+                    std::thread::spawn(move || session(inner2, stream, id)),
+                    clone,
+                ));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) if accept_error_is_transient(&e) => {
+                inner.log(&format!("accept error (backing off): {e}"));
+                std::thread::sleep(Duration::from_millis(50));
             }
             Err(e) => {
                 inner.log(&format!("accept error: {e}"));
@@ -224,13 +248,66 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
             .unwrap_or_else(PoisonError::into_inner);
     }
     drop(active);
-    for s in &session_socks {
+    for s in sessions.iter().filter_map(|(_, s)| s.as_ref()) {
         let _ = s.shutdown(Shutdown::Both);
     }
-    for h in sessions {
+    for (h, _) in sessions {
         let _ = h.join();
     }
     inner.log("drained; server stopped");
+}
+
+/// Longest request line a session accepts, in bytes. Requests are a few
+/// hundred bytes; the cap keeps one hostile line from growing the read
+/// buffer without bound.
+const MAX_LINE: usize = 64 * 1024;
+
+/// One request line as [`read_line`] saw it.
+enum Line {
+    Text(String),
+    /// Longer than [`MAX_LINE`]; the rest of it was read and discarded.
+    TooLong,
+    /// End of stream, a read error or a line that is not UTF-8.
+    Closed,
+}
+
+/// Reads one `\n`-terminated line through the buffer, holding at most
+/// [`MAX_LINE`] + 1 of its bytes.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Line {
+    buf.clear();
+    match reader
+        .by_ref()
+        .take(MAX_LINE as u64 + 1)
+        .read_until(b'\n', buf)
+    {
+        Ok(0) | Err(_) => return Line::Closed,
+        Ok(_) => {}
+    }
+    if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
+        loop {
+            let Ok(chunk) = reader.fill_buf() else {
+                return Line::Closed;
+            };
+            if chunk.is_empty() {
+                break;
+            }
+            match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    reader.consume(i + 1);
+                    break;
+                }
+                None => {
+                    let n = chunk.len();
+                    reader.consume(n);
+                }
+            }
+        }
+        return Line::TooLong;
+    }
+    match std::str::from_utf8(buf) {
+        Ok(text) => Line::Text(text.to_owned()),
+        Err(_) => Line::Closed,
+    }
 }
 
 fn session(inner: Arc<Inner>, stream: TcpStream, id: u64) {
@@ -238,9 +315,20 @@ fn session(inner: Arc<Inner>, stream: TcpStream, id: u64) {
         return;
     };
     let mut out = stream;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_line(&mut reader, &mut buf) {
+            Line::Text(line) => line,
+            Line::TooLong => {
+                let msg = format!("request line longer than {MAX_LINE} bytes");
+                if !send(&mut out, &proto::error_line("bad_request", &msg, &[])) {
+                    break;
+                }
+                continue;
+            }
+            Line::Closed => break,
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;

@@ -1054,6 +1054,23 @@ impl SimDisk {
     /// Simulated disk seconds for counters accumulated so far. With a
     /// degraded channel the slow channel's units are stretched by its
     /// factor — this is the clock deadline charging reads, so a degraded
+    /// A run's channel decomposition: the shared lane's and every data
+    /// channel's counters accumulated since the [`channel_stats`]
+    /// snapshot `since` (the disk may carry charges from earlier runs;
+    /// only this run's deltas count).
+    ///
+    /// [`channel_stats`]: SimDisk::channel_stats
+    pub fn channel_deltas(&self, since: &[IoStats]) -> (IoStats, Vec<IoStats>) {
+        let now = self.channel_stats();
+        let shared = now[0].delta(&since[0]);
+        let channels = now[1..]
+            .iter()
+            .zip(&since[1..])
+            .map(|(e, s)| e.delta(s))
+            .collect();
+        (shared, channels)
+    }
+
     /// channel genuinely eats into a run's deadline budget.
     pub fn io_seconds(&self) -> f64 {
         if self.model.degraded_channel.is_none() {

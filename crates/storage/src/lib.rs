@@ -39,7 +39,9 @@
 //! completion journal with checksummed records, and a recovery scan
 //! ([`recover`]) that truncates torn tails and sweeps orphan files — plus
 //! [`RunControl`] for cooperative cancellation, simulated-time deadlines and
-//! crash-point injection ([`CrashPoint`]).
+//! crash-point injection ([`CrashPoint`]). [`PartitionSink`] is the one
+//! implementation of the per-partition commit protocol (flush → journal →
+//! emit) that every partition-based executor delivers through.
 
 mod arbiter;
 mod disk;
@@ -51,6 +53,7 @@ mod pool;
 mod record;
 mod sort;
 mod retry;
+mod sink;
 
 pub use arbiter::{AdmissionError, ArbiterSnapshot, MemoryArbiter, MemoryLease};
 pub use disk::{DiskModel, FileId, IoStats, SimDisk};
@@ -72,6 +75,7 @@ pub use record::{
     RecordWriter,
 };
 pub use retry::RetryPolicy;
+pub use sink::{ClockPos, Finished, PartitionSink};
 pub use sort::{
     external_sort, external_sort_by, external_sort_slice, try_external_sort,
     try_external_sort_by, try_external_sort_slice, SortStats,

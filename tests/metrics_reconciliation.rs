@@ -2,18 +2,22 @@
 //! accounting sums *exactly* to the run totals — under fault injection, at
 //! thread counts {1, 2, 4}, and across a crash/resume pair — and the
 //! exported [`MetricsReport`]'s own reconciliation gate passes everywhere.
+//! The `partition-done` trace stream is pinned the same way.
 //!
 //! "Exactly" means field-for-field [`IoStats`] equality (the struct is
 //! `Eq`) and bit-exact f64 equality for the CPU fold: the report builder
 //! sums phases in the same order as each stats struct's own accessor, so
 //! any drift is a real accounting bug, not float noise.
 
+use std::sync::Arc;
+
 use datagen::Adversarial;
 use geom::Kpe;
 use spatialjoin::{
-    Algorithm, CrashPoint, FaultPlan, JoinErrorKind, JoinStats, RetryPolicy, SimDisk, SpatialJoin,
+    Algorithm, CrashPoint, FaultPlan, JoinErrorKind, JoinStats, Recorder, RetryPolicy, SimDisk,
+    SpatialJoin,
 };
-use storage::IoStats;
+use storage::{FileId, IoStats, Recovered};
 
 const MEM: usize = 8 * 1024;
 
@@ -194,4 +198,119 @@ fn exported_json_matches_the_stats_surface() {
     assert!(json.contains("\"prefetch_hidden_seconds\""));
     assert!(json.contains(&format!("\"results\": {}", st.results())));
     assert!(json.contains(&format!("\"duplicates\": {}", st.duplicates())));
+}
+
+/// One `partition-done` event reduced to what must not depend on the
+/// executor: (partition, candidates, results, duplicates).
+type Delivery = (u64, u64, u64, u64);
+
+/// Runs `join` durably on `disk` with a fresh trace recorder and returns
+/// the run's outcome plus its `partition-done` stream in recording order.
+fn traced_durable(
+    join: &SpatialJoin,
+    disk: &SimDisk,
+    r: &[Kpe],
+    s: &[Kpe],
+) -> (Result<JoinStats, spatialjoin::JoinError>, Vec<Delivery>) {
+    let recorder = Arc::new(Recorder::new());
+    let res = join
+        .clone()
+        .with_recorder(Arc::clone(&recorder))
+        .try_run_durable_with(disk, r, s, 7, &mut |_, _| {});
+    let attr = |e: &storage::TraceEvent, name: &str| {
+        e.attrs
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("partition-done without `{name}`"))
+    };
+    let stream = recorder
+        .events()
+        .iter()
+        .filter(|e| e.name == "partition-done")
+        .map(|e| {
+            (
+                attr(e, "partition"),
+                attr(e, "candidates"),
+                attr(e, "results"),
+                attr(e, "duplicates"),
+            )
+        })
+        .collect();
+    (res, stream)
+}
+
+/// The `partition-done` stream of durable runs is the exactly-once delivery
+/// record: every executor reports the same partitions with the same counts
+/// at threads 1 and 4, the counts sum to the run's totals, and a resumed run
+/// reports only the partitions the journal had not committed.
+#[test]
+fn partition_done_stream_is_executor_invariant_and_skips_committed_partitions() {
+    let (r, s) = workload(23, 140);
+    let algos = [
+        Algorithm::pbsm_rpm(4 * 1024),
+        Algorithm::two_layer(4 * 1024),
+        Algorithm::s3j_replicated(4 * 1024),
+        // Budget above the input: the single-partition plan.
+        Algorithm::pbsm_rpm(1 << 20),
+    ];
+    for base in algos {
+        let mut fresh_at: Vec<Vec<Delivery>> = Vec::new();
+        let mut resumed_at: Vec<Vec<Delivery>> = Vec::new();
+        for threads in [1usize, 4] {
+            let ctx = format!("{} mem={} threads={threads}", base.name(), base.mem_bytes());
+            let join = SpatialJoin::new(base.clone().with_threads(threads));
+
+            let (res, fresh) = traced_durable(&join, &SimDisk::with_default_model(), &r, &s);
+            let st = res.unwrap_or_else(|e| panic!("{ctx}: fresh run failed: {e}"));
+            let sum = fresh
+                .iter()
+                .fold((0, 0, 0), |(c, r, d), e| (c + e.1, r + e.2, d + e.3));
+            assert_eq!(
+                sum,
+                (
+                    st.candidates().expect("partition join"),
+                    st.results(),
+                    st.duplicates()
+                ),
+                "{ctx}: partition-done counts do not sum to the run's stats"
+            );
+            assert!(!fresh.is_empty(), "{ctx}: no partition-done events");
+
+            // Crash right after the first journal commit, then resume.
+            let disk = SimDisk::with_default_model().with_faults(
+                FaultPlan::crash_only(0, CrashPoint::AfterCommit(1)),
+                RetryPolicy::default(),
+            );
+            let (crashed, _) = traced_durable(&join, &disk, &r, &s);
+            assert!(
+                matches!(crashed.map_err(|e| e.kind), Err(JoinErrorKind::Crashed(_))),
+                "{ctx}: crash point must fire"
+            );
+            let Ok(Recovered::Resumed(cp)) =
+                storage::recover(&disk, FileId::from_raw(0), join.fingerprint(&r, &s))
+            else {
+                panic!("{ctx}: the crashed run left no manifest");
+            };
+            let committed: Vec<u64> = cp.committed().map(|e| u64::from(e.partition)).collect();
+            assert!(!committed.is_empty(), "{ctx}: nothing was committed");
+            let (res, resumed) = traced_durable(&join, &disk, &r, &s);
+            res.unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"));
+            assert!(
+                resumed.iter().all(|e| !committed.contains(&e.0)),
+                "{ctx}: the resumed run re-reported a committed partition: {resumed:?} (committed {committed:?})"
+            );
+            fresh_at.push(fresh);
+            resumed_at.push(resumed);
+        }
+        let name = format!("{} mem={}", base.name(), base.mem_bytes());
+        assert_eq!(
+            fresh_at[0], fresh_at[1],
+            "{name}: fresh stream differs at threads 4"
+        );
+        assert_eq!(
+            resumed_at[0], resumed_at[1],
+            "{name}: resumed stream differs at threads 4"
+        );
+    }
 }

@@ -438,13 +438,20 @@ fn protocol_rejects_garbage_without_dying() {
         "{\"cmd\":\"frobnicate\"}",
         "{\"cmd\":\"join\",\"left\":\"a\"}",
         "{\"cmd\":\"join\",\"left\":\"nope\",\"right\":\"nada\"}",
+        // Nested far past the parser's depth cap, inside the line cap: a
+        // recursive parser without the cap overflows the session's stack,
+        // which aborts the whole process.
+        &"[".repeat(60_000),
+        // Longer than the request-line cap.
+        &"[".repeat(200_000),
     ] {
         let resp = c.request(bad).expect("error response");
         let err = resp.get("error").expect("typed error");
         let kind = err.get("kind").and_then(Json::as_str).expect("kind");
         assert!(
             kind == "bad_request" || kind == "unknown_dataset",
-            "unexpected kind {kind} for {bad:?}"
+            "unexpected kind {kind} for {:?}",
+            &bad[..bad.len().min(40)]
         );
     }
     // Session still alive after every rejection.
@@ -452,6 +459,48 @@ fn protocol_rejects_garbage_without_dying() {
         c.request("{\"cmd\":\"ping\"}").expect("ping").get("ok").and_then(Json::as_str),
         Some("pong")
     );
+    handle.request_drain();
+    handle.join();
+}
+
+/// Open file descriptors of this process.
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list /proc/self/fd")
+        .count()
+}
+
+/// Finished sessions give back their descriptors: hundreds of short
+/// sequential connections leave the fd count where it started (within the
+/// slack other tests in this binary may hold at the same time), instead of
+/// growing by one socket per session until `accept` fails with EMFILE.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_sessions_release_their_descriptors() {
+    let handle = start(ServerConfig::default());
+    let addr = handle.addr();
+    let mut c = Client::connect(addr).expect("connect");
+    assert_eq!(
+        c.request("{\"cmd\":\"ping\"}")
+            .expect("ping")
+            .get("ok")
+            .and_then(Json::as_str),
+        Some("pong")
+    );
+    drop(c);
+    let baseline = open_fds();
+    for _ in 0..300 {
+        let mut c = Client::connect(addr).expect("connect");
+        assert!(c
+            .request("{\"cmd\":\"ping\"}")
+            .expect("ping")
+            .get("ok")
+            .is_some());
+    }
+    wait_until("finished sessions to release their descriptors", || {
+        open_fds() <= baseline + 32
+    });
     handle.request_drain();
     handle.join();
 }
