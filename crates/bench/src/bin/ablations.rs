@@ -12,7 +12,7 @@ use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
 use pbsm::{pbsm_join, Dedup, TileScheme};
 use s3j::{s3j_join, ScanMode};
 use sfc::Curve;
-use storage::SimDisk;
+use storage::{Phase, SimDisk};
 use sweep::InternalAlgo;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
             t,
             st.partitions,
             st.repartitioned_pairs,
-            st.total_seconds()
+            st.cost.total_seconds()
         );
     }
 
@@ -53,7 +53,7 @@ fn main() {
             k,
             st.grid.gx as u64 * st.grid.gy as u64,
             st.replication_rate(r.len() + s.len()),
-            st.total_seconds()
+            st.cost.total_seconds()
         );
     }
 
@@ -75,7 +75,7 @@ fn main() {
             format!("{scheme:?}"),
             st.repartitioned_pairs,
             st.repart_depth,
-            st.total_seconds()
+            st.cost.total_seconds()
         );
     }
 
@@ -95,7 +95,7 @@ fn main() {
             shift,
             st.replication_rate(r.len() + s.len()),
             st.join_counters.tests,
-            st.total_seconds()
+            st.cost.total_seconds()
         );
     }
 
@@ -113,9 +113,9 @@ fn main() {
         println!(
             "{:>9} {:>12.0} {:>14} {:>12.2}",
             format!("{curve:?}"),
-            st.model.units(&st.io_total()),
+            st.cost.model.units(&st.cost.io_total()),
             st.join_counters.tests,
-            st.model.scaled_cpu(st.cpu_partition)
+            st.cost.model.scaled_cpu(st.cost[Phase::Partition].cpu)
         );
     }
 
@@ -130,8 +130,8 @@ fn main() {
         println!(
             "{:>11} {:>14.0} {:>11.1}",
             format!("{mode:?}"),
-            st.model.units(&st.io_join),
-            st.total_seconds()
+            st.cost.model.units(&st.cost[Phase::Join].io),
+            st.cost.total_seconds()
         );
     }
 }

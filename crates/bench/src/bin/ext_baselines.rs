@@ -73,7 +73,7 @@ fn main() {
         "{:<26} {:>10} {:>12.1}",
         "PBSM (trie, RPM)",
         st.results,
-        st.total_seconds()
+        st.cost.total_seconds()
     );
 
     let disk = SimDisk::with_default_model();
@@ -82,7 +82,7 @@ fn main() {
         "{:<26} {:>10} {:>12.1}",
         "S3J (replicated)",
         st.results,
-        st.total_seconds()
+        st.cost.total_seconds()
     );
 
     let disk = SimDisk::with_default_model();
@@ -96,7 +96,7 @@ fn main() {
         },
         &mut |_, _| {},
     );
-    println!("{:<26} {:>10} {:>12.1}", "SSSJ", st.results, st.total_seconds());
+    println!("{:<26} {:>10} {:>12.1}", "SSSJ", st.results, st.cost.total_seconds());
 
     let disk = SimDisk::with_default_model();
     let st = shj_join(
@@ -113,7 +113,7 @@ fn main() {
         "{:<26} {:>10} {:>12.1}",
         "SHJ (spatial hash join)",
         st.results,
-        st.total_seconds()
+        st.cost.total_seconds()
     );
 
     println!();

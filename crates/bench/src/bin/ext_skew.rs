@@ -33,16 +33,16 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "PBSM(list)",
         list.results,
-        list.scaled_cpu_seconds(),
-        list.total_seconds()
+        list.cost.scaled_cpu_seconds(),
+        list.cost.total_seconds()
     );
     let trie = pbsm_run(InternalAlgo::PlaneSweepTrie);
     println!(
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "PBSM(trie)",
         trie.results,
-        trie.scaled_cpu_seconds(),
-        trie.total_seconds()
+        trie.cost.scaled_cpu_seconds(),
+        trie.cost.total_seconds()
     );
     let disk = SimDisk::with_default_model();
     let s3 = s3j_join(&disk, r, s, &s3j_cfg(mem, true), &mut |_, _| {});
@@ -50,8 +50,8 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "S3J(repl)",
         s3.results,
-        s3.scaled_cpu_seconds(),
-        s3.total_seconds()
+        s3.cost.scaled_cpu_seconds(),
+        s3.cost.total_seconds()
     );
     let disk = SimDisk::with_default_model();
     let sw = sssj_join(
@@ -68,8 +68,8 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "SSSJ",
         sw.results,
-        sw.scaled_cpu_seconds(),
-        sw.total_seconds()
+        sw.cost.scaled_cpu_seconds(),
+        sw.cost.total_seconds()
     );
     assert!(list.results == trie.results && trie.results == s3.results && s3.results == sw.results);
     println!();

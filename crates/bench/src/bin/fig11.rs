@@ -25,7 +25,7 @@ fn main() {
                     let disk = SimDisk::with_default_model();
                     s3j_join(&disk, cal, cal, &s3j_cfg(mem, replicate), &mut |_, _| {})
                 },
-                |st| st.total_seconds(),
+                |st| st.cost.total_seconds(),
             )
         };
         let orig = run(false);
@@ -34,12 +34,12 @@ fn main() {
         println!(
             "{:<10} | {:>11.1} {:>11.1} {:>6.1} | {:>11.1} {:>11.1} {:>6.1}",
             mb,
-            orig.scaled_cpu_seconds(),
-            repl.scaled_cpu_seconds(),
-            orig.scaled_cpu_seconds() / repl.scaled_cpu_seconds(),
-            orig.total_seconds(),
-            repl.total_seconds(),
-            orig.total_seconds() / repl.total_seconds()
+            orig.cost.scaled_cpu_seconds(),
+            repl.cost.scaled_cpu_seconds(),
+            orig.cost.scaled_cpu_seconds() / repl.cost.scaled_cpu_seconds(),
+            orig.cost.total_seconds(),
+            repl.cost.total_seconds(),
+            orig.cost.total_seconds() / repl.cost.total_seconds()
         );
     }
 }

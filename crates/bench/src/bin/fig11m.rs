@@ -10,7 +10,7 @@
 
 use bench::{banner, scale};
 use s3j::s3j_join;
-use storage::SimDisk;
+use storage::{Phase, SimDisk};
 
 fn main() {
     banner(
@@ -38,8 +38,8 @@ fn main() {
         println!(
             "{:<10} | {:>12.1} {:>12.1} {:>14} | {:>11.2} | {} of {}",
             if replicate { "replicated" } else { "original" },
-            st.model.scaled_cpu(st.cpu_join),
-            st.total_seconds(),
+            st.cost.model.scaled_cpu(st.cost[Phase::Join].cpu),
+            st.cost.total_seconds(),
             st.join_counters.tests,
             st.replication_rate(2 * data.len()),
             coarse,

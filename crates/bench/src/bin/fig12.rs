@@ -29,7 +29,7 @@ fn main() {
                     cfg.internal = internal;
                     s3j_join(&disk, cal, cal, &cfg, &mut |_, _| {})
                 },
-                |st| st.total_seconds(),
+                |st| st.cost.total_seconds(),
             )
         };
         let nested = run(InternalAlgo::NestedLoops);
@@ -40,9 +40,9 @@ fn main() {
         println!(
             "{:<10} | {:>12.1} {:>12.1} {:>12.1}",
             mb,
-            nested.total_seconds(),
-            sweep.total_seconds(),
-            trie.total_seconds()
+            nested.cost.total_seconds(),
+            sweep.cost.total_seconds(),
+            trie.cost.total_seconds()
         );
     }
 }

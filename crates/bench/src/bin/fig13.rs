@@ -44,9 +44,9 @@ fn main() {
             "{:<4} {:>10} | {:>11.1} {:>12.1} {:>12.1} | {:>9.2}",
             p,
             s3.results,
-            s3.total_seconds(),
-            list.total_seconds(),
-            trie.total_seconds(),
+            s3.cost.total_seconds(),
+            list.cost.total_seconds(),
+            trie.cost.total_seconds(),
             list.replication_rate(r.len() + s.len())
         );
     }

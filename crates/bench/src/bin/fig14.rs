@@ -26,7 +26,7 @@ fn main() {
                 let disk = SimDisk::with_default_model();
                 s3j_join(&disk, cal, cal, &s3j_cfg(mem, true), &mut |_, _| {})
             },
-            |st| st.total_seconds(),
+            |st| st.cost.total_seconds(),
         );
         let run_pbsm = |internal: InternalAlgo| {
             median_run(
@@ -40,7 +40,7 @@ fn main() {
                         &mut |_, _| {},
                     )
                 },
-                |st| st.total_seconds(),
+                |st| st.cost.total_seconds(),
             )
         };
         let list = run_pbsm(InternalAlgo::PlaneSweepList);
@@ -49,9 +49,9 @@ fn main() {
         println!(
             "{:<10} | {:>11.1} {:>12.1} {:>12.1}",
             mb,
-            s3.total_seconds(),
-            list.total_seconds(),
-            trie.total_seconds()
+            s3.cost.total_seconds(),
+            list.cost.total_seconds(),
+            trie.cost.total_seconds()
         );
     }
 }

@@ -7,7 +7,7 @@
 
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg};
 use pbsm::{pbsm_join, Dedup};
-use storage::SimDisk;
+use storage::{Phase, SimDisk};
 use sweep::InternalAlgo;
 
 fn main() {
@@ -32,13 +32,14 @@ fn main() {
         let pd = run(Dedup::SortPhase);
         let rp = run(Dedup::ReferencePoint);
         assert_eq!(pd.results, rp.results, "dedup strategies disagree");
-        let base_io = rp.model.units(
-            &rp.io_partition
-                .plus(&rp.io_repart)
-                .plus(&rp.io_join),
+        let base_io = rp.cost.model.units(
+            &rp.cost[Phase::Partition]
+                .io
+                .plus(&rp.cost[Phase::Repartition].io)
+                .plus(&rp.cost[Phase::Join].io),
         );
-        let pd_dedup = pd.model.units(&pd.io_dedup);
-        let rp_dedup = rp.model.units(&rp.io_dedup);
+        let pd_dedup = pd.cost.model.units(&pd.cost[Phase::Dedup].io);
+        let rp_dedup = rp.cost.model.units(&rp.cost[Phase::Dedup].io);
         println!(
             "{:<5} {:>10} | {:>12.0} {:>12.0} {:>12.0} | {:>10.1} {:>10.1}",
             format!("J{p}"),
@@ -46,8 +47,8 @@ fn main() {
             base_io,
             pd_dedup,
             rp_dedup,
-            pd.total_seconds(),
-            rp.total_seconds()
+            pd.cost.total_seconds(),
+            rp.cost.total_seconds()
         );
     }
 }

@@ -27,7 +27,7 @@ fn main() {
                     let cfg = pbsm_cfg(mem, internal, Dedup::ReferencePoint);
                     pbsm_join(&disk, cal, cal, &cfg, &mut |_, _| {})
                 },
-                |st| st.total_seconds(),
+                |st| st.cost.total_seconds(),
             )
         };
         let list = run(InternalAlgo::PlaneSweepList);
@@ -37,12 +37,12 @@ fn main() {
             "{:<10} {:>5} | {:>12.1} {:>12.1} | {:>11.1} {:>11.1} | {:>10.1} {:>10.1}",
             mb,
             list.partitions,
-            list.total_seconds(),
-            trie.total_seconds(),
-            list.scaled_cpu_seconds(),
-            trie.scaled_cpu_seconds(),
-            list.io_seconds(),
-            trie.io_seconds()
+            list.cost.total_seconds(),
+            trie.cost.total_seconds(),
+            list.cost.scaled_cpu_seconds(),
+            trie.cost.scaled_cpu_seconds(),
+            list.cost.io_seconds(),
+            trie.cost.io_seconds()
         );
     }
 }

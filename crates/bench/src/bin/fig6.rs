@@ -3,7 +3,7 @@
 
 use bench::{banner, cal_st, paper_mem, pbsm_cfg};
 use pbsm::{pbsm_join, Dedup};
-use storage::SimDisk;
+use storage::{Phase, SimDisk};
 use sweep::InternalAlgo;
 
 fn main() {
@@ -22,8 +22,7 @@ fn main() {
         let disk = SimDisk::with_default_model();
         let cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
         let st = pbsm_join(&disk, cal, cal, &cfg, &mut |_, _| {});
-        let repart_secs =
-            st.model.scaled_cpu(st.cpu_repart) + st.model.seconds(&st.io_repart);
+        let repart_secs = st.cost.phase_seconds(Phase::Repartition);
         println!(
             "{:<10} {:>5} | {:>12} {:>12.1} {:>12.1}",
             mb,

@@ -28,7 +28,7 @@ use std::time::Instant;
 use bench::{la_rr, la_st, paper_mem, pbsm_cfg, s3j_cfg, scale};
 use pbsm::{pbsm_join, Dedup};
 use s3j::s3j_join;
-use storage::{DiskModel, SimDisk};
+use storage::{DiskModel, Phase, SimDisk};
 use sweep::InternalAlgo;
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
@@ -81,8 +81,8 @@ fn main() {
                 let t0 = Instant::now();
                 let st = pbsm_join(&disk, r, s, &cfg, &mut |_, _| {});
                 Point {
-                    join_phase_s: st.cpu_join,
-                    total_model_s: st.total_seconds(),
+                    join_phase_s: st.cost[Phase::Join].cpu,
+                    total_model_s: st.cost.total_seconds(),
                     wall_s: t0.elapsed().as_secs_f64(),
                     results: st.results,
                 }
@@ -97,8 +97,8 @@ fn main() {
                 let t0 = Instant::now();
                 let st = s3j_join(&disk, r, s, &cfg, &mut |_, _| {});
                 Point {
-                    join_phase_s: st.cpu_join,
-                    total_model_s: st.total_seconds(),
+                    join_phase_s: st.cost[Phase::Join].cpu,
+                    total_model_s: st.cost.total_seconds(),
                     wall_s: t0.elapsed().as_secs_f64(),
                     results: st.results,
                 }

@@ -6,7 +6,7 @@ use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
 use geom::Kpe;
 use pbsm::{pbsm_join, Dedup};
 use s3j::s3j_join;
-use storage::SimDisk;
+use storage::{Phase, SimDisk};
 use sweep::InternalAlgo;
 
 fn main() {
@@ -32,19 +32,19 @@ fn main() {
     println!("PBSM (passes over its replicated input, {:.1} MB):", pbsm_base / 1048576.0);
     println!(
         "  partitioning   write {:.2}  read {:.2}",
-        p.io_partition.bytes_written as f64 / pbsm_base,
-        p.io_partition.bytes_read as f64 / pbsm_base
+        p.cost[Phase::Partition].io.bytes_written as f64 / pbsm_base,
+        p.cost[Phase::Partition].io.bytes_read as f64 / pbsm_base
     );
     println!(
         "  repartitioning write {:.2}  read {:.2}   ({} pairs repartitioned)",
-        p.io_repart.bytes_written as f64 / pbsm_base,
-        p.io_repart.bytes_read as f64 / pbsm_base,
+        p.cost[Phase::Repartition].io.bytes_written as f64 / pbsm_base,
+        p.cost[Phase::Repartition].io.bytes_read as f64 / pbsm_base,
         p.repartitioned_pairs
     );
     println!(
         "  join           write {:.2}  read {:.2}",
-        p.io_join.bytes_written as f64 / pbsm_base,
-        p.io_join.bytes_read as f64 / pbsm_base
+        p.cost[Phase::Join].io.bytes_written as f64 / pbsm_base,
+        p.cost[Phase::Join].io.bytes_read as f64 / pbsm_base
     );
 
     let disk = SimDisk::with_default_model();
@@ -54,19 +54,19 @@ fn main() {
     println!("S3J (passes over its level files, {:.1} MB):", s3j_base / 1048576.0);
     println!(
         "  partitioning   write {:.2}  read {:.2}",
-        q.io_partition.bytes_written as f64 / s3j_base,
-        q.io_partition.bytes_read as f64 / s3j_base
+        q.cost[Phase::Partition].io.bytes_written as f64 / s3j_base,
+        q.cost[Phase::Partition].io.bytes_read as f64 / s3j_base
     );
     println!(
         "  sorting        write {:.2}  read {:.2}   ({} runs, ≤{} merge passes)",
-        q.io_sort.bytes_written as f64 / s3j_base,
-        q.io_sort.bytes_read as f64 / s3j_base,
+        q.cost[Phase::Sort].io.bytes_written as f64 / s3j_base,
+        q.cost[Phase::Sort].io.bytes_read as f64 / s3j_base,
         q.sort_runs,
         q.sort_passes_max
     );
     println!(
         "  join           write {:.2}  read {:.2}",
-        q.io_join.bytes_written as f64 / s3j_base,
-        q.io_join.bytes_read as f64 / s3j_base
+        q.cost[Phase::Join].io.bytes_written as f64 / s3j_base,
+        q.cost[Phase::Join].io.bytes_read as f64 / s3j_base
     );
 }

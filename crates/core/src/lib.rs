@@ -67,7 +67,9 @@ pub use storage::{
     CancelToken, CrashPoint, DiskModel, FaultPlan, IoError, IoErrorKind, IoStats, JoinError,
     JoinErrorKind, RetryPolicy, SimDisk,
 };
-pub use storage::{MetricsReport, PhaseMetric, Recorder, RunCounters, METRICS_SCHEMA_VERSION};
+pub use storage::{
+    MetricsReport, Phase, PhaseMetric, Recorder, RunCost, RunCounters, METRICS_SCHEMA_VERSION,
+};
 pub use sweep::InternalAlgo;
 
 use std::sync::Arc;
@@ -113,21 +115,7 @@ pub struct QuadtreeStats {
     /// Nodes in the R/S trees after bulk-loading.
     pub nodes_r: u64,
     pub nodes_s: u64,
-    pub cpu_build: f64,
-    pub cpu_join: f64,
-    pub model: DiskModel,
-    /// Always all-zero, sized to the model's data-channel count.
-    pub io_channels: Vec<IoStats>,
-}
-
-impl QuadtreeStats {
-    pub fn cpu_seconds(&self) -> f64 {
-        self.cpu_build + self.cpu_join
-    }
-
-    pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
-    }
+    pub cost: RunCost,
 }
 
 /// Algorithm selection with its full configuration.
@@ -385,59 +373,75 @@ pub enum JoinStats {
 }
 
 impl JoinStats {
+    /// The run's phase table and simulated clock.
+    pub fn cost(&self) -> &RunCost {
+        match self {
+            JoinStats::Pbsm(s) => &s.cost,
+            JoinStats::S3j(s) => &s.cost,
+            JoinStats::Sssj(s) => &s.cost,
+            JoinStats::Shj(s) => &s.cost,
+            JoinStats::Quadtree(s) => &s.cost,
+        }
+    }
+
+    /// Whole-run counters, as exported by [`JoinStats::metrics_report`].
+    pub fn counters(&self) -> RunCounters {
+        match self {
+            JoinStats::Pbsm(s) => RunCounters {
+                candidates: Some(s.candidates),
+                results: s.results,
+                duplicates: s.duplicates,
+                partitions: u64::from(s.partitions),
+                requeued_partitions: u64::from(s.requeued_partitions),
+                degraded_partitions: u64::from(s.degraded_partitions),
+                checkpoint_commits: s.checkpoint_commits,
+                partition_cache_hits: 0,
+            },
+            JoinStats::S3j(s) => RunCounters {
+                candidates: Some(s.candidates),
+                results: s.results,
+                duplicates: s.duplicates,
+                checkpoint_commits: s.checkpoint_commits,
+                ..RunCounters::default()
+            },
+            JoinStats::Sssj(SssjStats { results, .. })
+            | JoinStats::Shj(ShjStats { results, .. })
+            | JoinStats::Quadtree(QuadtreeStats { results, .. }) => RunCounters {
+                results: *results,
+                ..RunCounters::default()
+            },
+        }
+    }
+
     /// Number of (duplicate-free) result pairs.
     pub fn results(&self) -> u64 {
-        match self {
-            JoinStats::Pbsm(s) => s.results,
-            JoinStats::S3j(s) => s.results,
-            JoinStats::Sssj(s) => s.results,
-            JoinStats::Shj(s) => s.results,
-            JoinStats::Quadtree(s) => s.results,
-        }
+        self.counters().results
     }
 
     /// Duplicates suppressed online or removed by sorting.
     pub fn duplicates(&self) -> u64 {
-        match self {
-            JoinStats::Pbsm(s) => s.duplicates,
-            JoinStats::S3j(s) => s.duplicates,
-            JoinStats::Sssj(_) => 0,
-            JoinStats::Shj(_) => 0,
-            JoinStats::Quadtree(_) => 0,
-        }
+        self.counters().duplicates
+    }
+
+    /// Candidate pairs tested by the filter step, for algorithms that track
+    /// them (`candidates == results + duplicates` holds by construction).
+    pub fn candidates(&self) -> Option<u64> {
+        self.counters().candidates
     }
 
     /// Measured CPU seconds.
     pub fn cpu_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.cpu_seconds(),
-            JoinStats::S3j(s) => s.cpu_seconds(),
-            JoinStats::Sssj(s) => s.cpu_seconds(),
-            JoinStats::Shj(s) => s.cpu_seconds(),
-            JoinStats::Quadtree(s) => s.cpu_seconds(),
-        }
+        self.cost().cpu_seconds()
     }
 
     /// CPU seconds stretched to the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.scaled_cpu_seconds(),
-            JoinStats::S3j(s) => s.scaled_cpu_seconds(),
-            JoinStats::Sssj(s) => s.scaled_cpu_seconds(),
-            JoinStats::Shj(s) => s.scaled_cpu_seconds(),
-            JoinStats::Quadtree(s) => s.scaled_cpu_seconds(),
-        }
+        self.cost().scaled_cpu_seconds()
     }
 
     /// Simulated disk seconds under the configured [`DiskModel`].
     pub fn io_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.io_seconds(),
-            JoinStats::S3j(s) => s.io_seconds(),
-            JoinStats::Sssj(s) => s.io_seconds(),
-            JoinStats::Shj(s) => s.io_seconds(),
-            JoinStats::Quadtree(_) => 0.0,
-        }
+        self.cost().io_seconds()
     }
 
     /// Named per-phase I/O buckets. The buckets are disjoint — each disk
@@ -445,42 +449,12 @@ impl JoinStats {
     /// phase — so they sum to [`JoinStats::io_total`]; reporting per-phase
     /// and total counters therefore never counts a retry twice.
     pub fn io_phases(&self) -> Vec<(&'static str, IoStats)> {
-        match self {
-            JoinStats::Pbsm(s) => vec![
-                ("partition", s.io_partition),
-                ("repartition", s.io_repart),
-                ("join", s.io_join),
-                ("dedup", s.io_dedup),
-                ("checkpoint", s.io_checkpoint),
-            ],
-            JoinStats::S3j(s) => vec![
-                ("partition", s.io_partition),
-                ("sort", s.io_sort),
-                ("join", s.io_join),
-                ("checkpoint", s.io_checkpoint),
-            ],
-            JoinStats::Sssj(s) => vec![("sort", s.io_sort), ("join", s.io_join)],
-            JoinStats::Shj(s) => vec![
-                ("build", s.io_build),
-                ("probe", s.io_probe),
-                ("join", s.io_join),
-            ],
-            JoinStats::Quadtree(_) => vec![
-                ("build", IoStats::default()),
-                ("join", IoStats::default()),
-            ],
-        }
+        self.cost().io_phases()
     }
 
     /// Total I/O counters across all phases.
     pub fn io_total(&self) -> IoStats {
-        match self {
-            JoinStats::Pbsm(s) => s.io_total(),
-            JoinStats::S3j(s) => s.io_total(),
-            JoinStats::Sssj(s) => s.io_total(),
-            JoinStats::Shj(s) => s.io_total(),
-            JoinStats::Quadtree(_) => IoStats::default(),
-        }
+        self.cost().io_total()
     }
 
     /// I/O charged to the serial shared lane (manifest, journal, results,
@@ -488,48 +462,24 @@ impl JoinStats {
     /// [`JoinStats::io_channels`] this decomposes [`JoinStats::io_total`]
     /// field-for-field.
     pub fn io_shared(&self) -> IoStats {
-        match self {
-            JoinStats::Pbsm(s) => s.io_shared,
-            JoinStats::S3j(s) => s.io_shared,
-            JoinStats::Sssj(s) => s.io_shared,
-            JoinStats::Shj(s) => s.io_shared,
-            JoinStats::Quadtree(_) => IoStats::default(),
-        }
+        self.cost().io_shared
     }
 
     /// Per-data-channel I/O, one bucket per channel of the run's disk.
     pub fn io_channels(&self) -> &[IoStats] {
-        match self {
-            JoinStats::Pbsm(s) => &s.io_channels,
-            JoinStats::S3j(s) => &s.io_channels,
-            JoinStats::Sssj(s) => &s.io_channels,
-            JoinStats::Shj(s) => &s.io_channels,
-            JoinStats::Quadtree(s) => &s.io_channels,
-        }
+        &self.cost().io_channels
     }
 
     /// Channel-parallel disk time: shared lane plus the busiest data
     /// channel. Equals [`JoinStats::io_seconds`] bit-exactly at one channel.
     pub fn io_parallel_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.io_parallel_seconds(),
-            JoinStats::S3j(s) => s.io_parallel_seconds(),
-            JoinStats::Sssj(s) => s.io_parallel_seconds(),
-            JoinStats::Shj(s) => s.io_parallel_seconds(),
-            JoinStats::Quadtree(_) => 0.0,
-        }
+        self.cost().io_parallel_seconds()
     }
 
     /// Disk time hidden behind computation by double-buffered prefetch
     /// (zero with one channel, and zero under `cpu_slowdown = 0`).
     pub fn prefetch_hidden_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.prefetch_hidden_seconds(),
-            JoinStats::S3j(s) => s.prefetch_hidden_seconds(),
-            JoinStats::Sssj(s) => s.prefetch_hidden_seconds(),
-            JoinStats::Shj(s) => s.prefetch_hidden_seconds(),
-            JoinStats::Quadtree(_) => 0.0,
-        }
+        self.cost().prefetch_hidden_seconds()
     }
 
     /// The paper's "total runtime": emulated CPU + channel-parallel disk
@@ -537,23 +487,13 @@ impl JoinStats {
     /// channel this reduces bit-exactly to
     /// `scaled_cpu_seconds() + io_seconds()`, the pre-channel serial clock.
     pub fn total_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.total_seconds(),
-            JoinStats::S3j(s) => s.total_seconds(),
-            JoinStats::Sssj(s) => s.total_seconds(),
-            JoinStats::Shj(s) => s.total_seconds(),
-            JoinStats::Quadtree(s) => s.scaled_cpu_seconds(),
-        }
+        self.cost().total_seconds()
     }
 
     /// Simulated position of the first emitted result (pipelining metric).
+    /// `None` for the SHJ and quadtree baselines, which do not probe it.
     pub fn first_result_seconds(&self) -> Option<f64> {
-        match self {
-            JoinStats::Pbsm(s) => s.first_result_seconds(),
-            JoinStats::S3j(s) => s.first_result_seconds(),
-            JoinStats::Sssj(s) => s.first_result_seconds(),
-            JoinStats::Shj(_) | JoinStats::Quadtree(_) => None,
-        }
+        self.cost().first_result_seconds()
     }
 
     /// The I/O-only leg of the first-result position: pure simulated time,
@@ -562,23 +502,7 @@ impl JoinStats {
     /// bit-identical at every thread count; with live CPU costing the
     /// minimizing task can shift with the host measurement.
     pub fn first_result_io_seconds(&self) -> Option<f64> {
-        let io = match self {
-            JoinStats::Pbsm(s) => s.first_result_io.as_ref(),
-            JoinStats::S3j(s) => s.first_result_io.as_ref(),
-            JoinStats::Sssj(s) => s.first_result_io.as_ref(),
-            JoinStats::Shj(_) | JoinStats::Quadtree(_) => None,
-        }?;
-        Some(self.model().seconds(io))
-    }
-
-    /// Candidate pairs tested by the filter step, for algorithms that track
-    /// them (`candidates == results + duplicates` holds by construction).
-    pub fn candidates(&self) -> Option<u64> {
-        match self {
-            JoinStats::Pbsm(s) => Some(s.candidates),
-            JoinStats::S3j(s) => Some(s.candidates),
-            JoinStats::Sssj(_) | JoinStats::Shj(_) | JoinStats::Quadtree(_) => None,
-        }
+        self.cost().first_result_io_seconds()
     }
 
     /// Rectangle/interval comparisons performed by the internal joins — the
@@ -597,110 +521,13 @@ impl JoinStats {
 
     /// The disk model the run was costed under.
     pub fn model(&self) -> DiskModel {
-        match self {
-            JoinStats::Pbsm(s) => s.model,
-            JoinStats::S3j(s) => s.model,
-            JoinStats::Sssj(s) => s.model,
-            JoinStats::Shj(s) => s.model,
-            JoinStats::Quadtree(s) => s.model,
-        }
+        self.cost().model
     }
 
-    /// Builds the versioned, reconciled metrics document for this run.
-    ///
-    /// Phase CPU rows use the *same* field order as each stats struct's
-    /// `cpu_seconds()` fold, so [`MetricsReport::reconcile`] can demand
-    /// bit-exact agreement between the phase sum and the total; the
-    /// checkpoint phase carries its I/O bucket with zero CPU (commit work is
-    /// I/O-dominated and not separately timed).
+    /// Builds the versioned, reconciled metrics document for this run from
+    /// its phase table ([`RunCost::report`]) and [`JoinStats::counters`].
     pub fn metrics_report(&self, algo: &str, threads: usize) -> MetricsReport {
-        let cpu_phases: Vec<(&'static str, f64)> = match self {
-            JoinStats::Pbsm(s) => vec![
-                ("partition", s.cpu_partition),
-                ("repartition", s.cpu_repart),
-                ("join", s.cpu_join),
-                ("dedup", s.cpu_dedup),
-                ("checkpoint", 0.0),
-            ],
-            JoinStats::S3j(s) => vec![
-                ("partition", s.cpu_partition),
-                ("sort", s.cpu_sort),
-                ("join", s.cpu_join),
-                ("checkpoint", 0.0),
-            ],
-            JoinStats::Sssj(s) => vec![("sort", s.cpu_sort), ("join", s.cpu_join)],
-            JoinStats::Shj(s) => vec![
-                ("build", s.cpu_build),
-                ("probe", s.cpu_probe),
-                ("join", s.cpu_join),
-            ],
-            JoinStats::Quadtree(s) => vec![("build", s.cpu_build), ("join", s.cpu_join)],
-        };
-        let io_phases = self.io_phases();
-        debug_assert_eq!(io_phases.len(), cpu_phases.len());
-        let phases = io_phases
-            .iter()
-            .zip(&cpu_phases)
-            .map(|((name, io), (cpu_name, cpu))| {
-                debug_assert_eq!(name, cpu_name);
-                PhaseMetric {
-                    name,
-                    io: *io,
-                    cpu_seconds: *cpu,
-                }
-            })
-            .collect();
-        let counters = match self {
-            JoinStats::Pbsm(s) => RunCounters {
-                candidates: Some(s.candidates),
-                results: s.results,
-                duplicates: s.duplicates,
-                partitions: u64::from(s.partitions),
-                requeued_partitions: u64::from(s.requeued_partitions),
-                degraded_partitions: u64::from(s.degraded_partitions),
-                checkpoint_commits: s.checkpoint_commits,
-                partition_cache_hits: 0,
-            },
-            JoinStats::S3j(s) => RunCounters {
-                candidates: Some(s.candidates),
-                results: s.results,
-                duplicates: s.duplicates,
-                checkpoint_commits: s.checkpoint_commits,
-                ..RunCounters::default()
-            },
-            JoinStats::Sssj(s) => RunCounters {
-                results: s.results,
-                ..RunCounters::default()
-            },
-            JoinStats::Shj(s) => RunCounters {
-                results: s.results,
-                ..RunCounters::default()
-            },
-            JoinStats::Quadtree(s) => RunCounters {
-                results: s.results,
-                ..RunCounters::default()
-            },
-        };
-        MetricsReport {
-            schema_version: METRICS_SCHEMA_VERSION,
-            algo: algo.to_string(),
-            threads,
-            model: self.model(),
-            phases,
-            counters,
-            io_total: self.io_total(),
-            channels: self.model().data_channels(),
-            io_shared: self.io_shared(),
-            io_channels: self.io_channels().to_vec(),
-            cpu_seconds: self.cpu_seconds(),
-            scaled_cpu_seconds: self.scaled_cpu_seconds(),
-            io_seconds: self.io_seconds(),
-            io_parallel_seconds: self.io_parallel_seconds(),
-            prefetch_hidden_seconds: self.prefetch_hidden_seconds(),
-            total_seconds: self.total_seconds(),
-            first_result_seconds: self.first_result_seconds(),
-            first_result_io_seconds: self.first_result_io_seconds(),
-        }
+        self.cost().report(algo, threads, self.counters())
     }
 }
 
@@ -872,40 +699,27 @@ impl SpatialJoin {
                 if input_bytes > cfg.mem_bytes {
                     return Err(JoinError::new("setup", IoError::unsupported()));
                 }
+                let mut cost = RunCost::new(self.disk_model, &[Phase::Build, Phase::Join]);
                 let t0 = Instant::now();
                 let tr = quadtree::MxCifQuadtree::bulk(r, cfg.max_level);
                 let ts = quadtree::MxCifQuadtree::bulk(s, cfg.max_level);
-                let cpu_build = t0.elapsed().as_secs_f64();
+                cost[Phase::Build].cpu = t0.elapsed().as_secs_f64();
                 let t1 = Instant::now();
                 let mut results = 0u64;
                 let tests = tr.join(&ts, &mut |a, b| {
                     results += 1;
                     out(a.id, b.id);
                 });
-                let cpu_join = t1.elapsed().as_secs_f64();
+                cost[Phase::Join].cpu = t1.elapsed().as_secs_f64();
                 Ok(JoinStats::Quadtree(QuadtreeStats {
                     results,
                     tests,
                     nodes_r: tr.node_count() as u64,
                     nodes_s: ts.node_count() as u64,
-                    cpu_build,
-                    cpu_join,
-                    model: self.disk_model,
-                    io_channels: vec![IoStats::default(); self.disk_model.data_channels()],
+                    cost,
                 }))
             }
         }
-    }
-
-    /// Infallible [`SpatialJoin::try_run_with`] for fault-free configurations.
-    pub fn run_with(
-        &self,
-        r: &[Kpe],
-        s: &[Kpe],
-        out: &mut dyn FnMut(RecordId, RecordId),
-    ) -> JoinStats {
-        self.try_run_with(r, s, out)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
     }
 
     /// Runs the join and materialises all result pairs.

@@ -26,7 +26,7 @@ use geom::{Kpe, Rect, RecordId};
 use pbsm::{try_pbsm_join_ctl, PbsmConfig, PbsmStats};
 use s3j::{try_s3j_join_ctl, S3jConfig, S3jStats};
 use storage::{
-    AdmissionError, CancelToken, JoinError, MemoryArbiter, Recorder, RunControl, SimDisk,
+    AdmissionError, CancelToken, JoinError, MemoryArbiter, Recorder, RunControl, RunCost, SimDisk,
 };
 
 /// Why a [`SpatialJoinOp`] stream terminated abnormally. Delivered as the
@@ -164,31 +164,13 @@ pub enum OpStats {
 }
 
 impl OpStats {
-    /// The run's total simulated runtime under the multi-channel clock:
-    /// emulated CPU plus channel-parallel disk time, minus prefetch-hidden
-    /// time. The channel count comes from the [`SimDisk`] the operator was
-    /// built with; the tuple stream is identical for every value — only this
-    /// clock changes.
-    pub fn total_seconds(&self) -> f64 {
+    /// The run's phase table and simulated clock. The channel count comes
+    /// from the [`SimDisk`] the operator was built with; the tuple stream is
+    /// identical for every value — only the clock changes.
+    pub fn cost(&self) -> &RunCost {
         match self {
-            OpStats::Pbsm(s) => s.total_seconds(),
-            OpStats::S3j(s) => s.total_seconds(),
-        }
-    }
-
-    /// Channel-parallel disk time: shared lane plus the busiest data channel.
-    pub fn io_parallel_seconds(&self) -> f64 {
-        match self {
-            OpStats::Pbsm(s) => s.io_parallel_seconds(),
-            OpStats::S3j(s) => s.io_parallel_seconds(),
-        }
-    }
-
-    /// Disk time hidden behind computation by double-buffered prefetch.
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        match self {
-            OpStats::Pbsm(s) => s.prefetch_hidden_seconds(),
-            OpStats::S3j(s) => s.prefetch_hidden_seconds(),
+            OpStats::Pbsm(s) => &s.cost,
+            OpStats::S3j(s) => &s.cost,
         }
     }
 }
@@ -818,7 +800,7 @@ mod tests {
                 .map(|r| r.expect("join stream delivered an error"))
                 .map(|(a, b)| (a.0, b.0))
                 .collect();
-            (pairs, stats.total_seconds())
+            (pairs, stats.cost().total_seconds())
         };
         for algorithm in [
             JoinAlgorithm::Pbsm(PbsmConfig {

@@ -60,6 +60,8 @@ struct TokenInner {
 #[derive(Clone)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
+    /// The token a [`child`](CancelToken::child) also observes.
+    parent: Option<Arc<TokenInner>>,
 }
 
 impl Default for CancelToken {
@@ -84,6 +86,18 @@ impl CancelToken {
                 trip_after: AtomicU64::new(0),
                 checks: AtomicU64::new(0),
             }),
+            parent: None,
+        }
+    }
+
+    /// A run-local stop signal tied to this token. The child reports its
+    /// own cause or, failing that, this token's — a non-counting peek that
+    /// leaves [`CancelToken::cancel_after_checks`] exact. Tripping the child
+    /// never trips this token.
+    pub fn child(&self) -> CancelToken {
+        CancelToken {
+            parent: Some(Arc::clone(&self.inner)),
+            ..CancelToken::new()
         }
     }
 
@@ -132,11 +146,12 @@ impl CancelToken {
 
     /// Non-counting peek at the latched cause.
     pub fn cause(&self) -> Option<CancelCause> {
-        match self.inner.state.load(Ordering::Acquire) {
+        let cause = |t: &TokenInner| match t.state.load(Ordering::Acquire) {
             TOKEN_CANCELLED => Some(CancelCause::Cancelled),
             TOKEN_DEADLINE => Some(CancelCause::Deadline),
             _ => None,
-        }
+        };
+        cause(&self.inner).or_else(|| self.parent.as_deref().and_then(cause))
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -948,6 +963,24 @@ mod tests {
         assert_eq!(t.check(), Some(CancelCause::Deadline));
         let shared = t.clone();
         assert!(shared.is_cancelled(), "clones share the flag");
+    }
+
+    #[test]
+    fn a_child_observes_its_parent_but_never_trips_it() {
+        let parent = CancelToken::new();
+        parent.cancel_after_checks(2);
+        let child = parent.child();
+        child.cancel();
+        assert_eq!(child.cause(), Some(CancelCause::Cancelled));
+        assert!(
+            !parent.is_cancelled(),
+            "tripping a child tripped its parent"
+        );
+        let child = parent.child();
+        assert!(!child.is_cancelled() && child.check().is_none());
+        assert_eq!(parent.check(), None, "child polls do not count");
+        parent.cancel_deadline();
+        assert_eq!(child.cause(), Some(CancelCause::Deadline));
     }
 
     #[test]

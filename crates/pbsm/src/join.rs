@@ -3,8 +3,8 @@ use std::time::Instant;
 use geom::{reference_point, Kpe, RecordId};
 use storage::{
     try_external_sort, try_read_all, ClockPos, DiskModel, FileId, Finished, IdPair, IoError,
-    IoStats, JoinError, PartitionSink, RecordReader, RecordWriter, RunControl, RunPhase, SimDisk,
-    SortStats,
+    IoStats, JoinError, PartitionSink, Phase, PhaseCost, RecordReader, RecordWriter, RunControl,
+    RunCost, RunPhase, SimDisk, SortStats,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -130,41 +130,24 @@ pub struct PbsmStats {
     /// unless the run is checkpointed).
     pub checkpoint_commits: u64,
     pub join_counters: JoinCounters,
-    pub io_partition: IoStats,
-    pub io_repart: IoStats,
-    pub io_join: IoStats,
-    pub io_dedup: IoStats,
-    /// I/O spent on durability (manifest publishes, journal commits, result
-    /// flushes) when the run is checkpointed; zero otherwise.
-    pub io_checkpoint: IoStats,
-    /// Shared-lane I/O: untagged files (manifest, journal, results, the
-    /// dedup scratch disk) whose requests serialize on the multi-channel
-    /// clock. Together with `io_channels` this is an exact field-for-field
-    /// decomposition of [`io_total`](Self::io_total).
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O (partition files ride channel `pid mod D`,
-    /// repartition sub-files their top-level partition's channel). Always
-    /// `model.data_channels()` entries; with one channel the split is
-    /// trivial and the clock is bit-identical to the serial model.
-    pub io_channels: Vec<IoStats>,
-    pub cpu_partition: f64,
-    pub cpu_repart: f64,
-    pub cpu_join: f64,
-    pub cpu_dedup: f64,
     pub sort: Option<SortStats>,
-    pub model: DiskModel,
-    /// CPU position of the earliest result on the *pipelined* clock: the
-    /// join-phase CPU base plus the emitting task's own CPU up to its first
-    /// pair, minimized over all emitting tasks. With more than one worker
-    /// this is when the first result *could* reach the consumer on dedicated
-    /// cores — never later than any single worker's emission.
-    pub first_result_cpu: Option<f64>,
-    /// I/O meter at the earliest result on the pipelined clock: the meter at
-    /// join-phase entry plus the emitting task's own I/O delta (its reads,
-    /// repartition writes and — when checkpointed — commit I/O) up to its
-    /// first pair, minimized over tasks together with `first_result_cpu`.
-    pub first_result_io: Option<IoStats>,
+    /// Phase table and clock. Partition files ride data channel `pid mod D`,
+    /// repartition sub-files their top-level partition's channel; the
+    /// manifest, journal, results and the dedup scratch disk ride the
+    /// shared lane. The first-result probe is the join-phase base plus the
+    /// emitting task's own CPU/I/O up to its first pair, minimized over all
+    /// emitting tasks, so it is the same at every thread count.
+    pub cost: RunCost,
 }
+
+/// PBSM's phases, in report order.
+const PHASES: &[Phase] = &[
+    Phase::Partition,
+    Phase::Repartition,
+    Phase::Join,
+    Phase::Dedup,
+    Phase::Checkpoint,
+];
 
 impl PbsmStats {
     fn new(model: DiskModel) -> Self {
@@ -185,85 +168,16 @@ impl PbsmStats {
             enospc_fallbacks: 0,
             checkpoint_commits: 0,
             join_counters: JoinCounters::default(),
-            io_partition: IoStats::default(),
-            io_repart: IoStats::default(),
-            io_join: IoStats::default(),
-            io_dedup: IoStats::default(),
-            io_checkpoint: IoStats::default(),
-            io_shared: IoStats::default(),
-            io_channels: vec![IoStats::default(); model.data_channels()],
-            cpu_partition: 0.0,
-            cpu_repart: 0.0,
-            cpu_join: 0.0,
-            cpu_dedup: 0.0,
             sort: None,
-            model,
-            first_result_cpu: None,
-            first_result_io: None,
+            cost: RunCost::new(model, PHASES),
         }
-    }
-
-    /// Simulated time at which the first result appeared (None if empty) —
-    /// the pipelining metric: RPM emits during the join phase, the sort
-    /// phase only after the complete candidate set is sorted. Measured on
-    /// the pipelined clock (min over emitting tasks of base + own work), so
-    /// it is the same at every thread count.
-    pub fn first_result_seconds(&self) -> Option<f64> {
-        Some(
-            self.model.scaled_cpu(self.first_result_cpu?)
-                + self.model.seconds(self.first_result_io.as_ref()?),
-        )
-    }
-
-    pub fn io_total(&self) -> IoStats {
-        self.io_partition
-            .plus(&self.io_repart)
-            .plus(&self.io_join)
-            .plus(&self.io_dedup)
-            .plus(&self.io_checkpoint)
-    }
-
-    pub fn cpu_seconds(&self) -> f64 {
-        self.cpu_partition + self.cpu_repart + self.cpu_join + self.cpu_dedup
-    }
-
-    pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
-    }
-
-    /// CPU seconds stretched to the emulated 1999 machine.
-    pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
-    }
-
-    /// Simulated I/O wall time under the multi-channel clock: the shared
-    /// lane serializes, data channels overlap (`shared + max over
-    /// channels`). With one channel this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds).
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation by the double-buffered partition
-    /// prefetch — zero with a single channel (nowhere to overlap).
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
-    }
-
-    /// The paper's "total runtime": (emulated) CPU plus simulated disk time
-    /// on the multi-channel clock, minus the prefetch overlap. With one
-    /// channel this reduces bit-exactly to `scaled_cpu + io_seconds`.
-    pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
     }
 
     /// Fraction of the total runtime spent repartitioning (Figure 6).
     pub fn repart_fraction(&self) -> f64 {
-        let repart = self.model.scaled_cpu(self.cpu_repart) + self.model.seconds(&self.io_repart);
-        if self.total_seconds() > 0.0 {
-            repart / self.total_seconds()
+        let total = self.cost.total_seconds();
+        if total > 0.0 {
+            self.cost.phase_seconds(Phase::Repartition) / total
         } else {
             0.0
         }
@@ -275,15 +189,10 @@ impl PbsmStats {
     }
 
     /// Folds a per-worker partial into this stats struct — the deterministic
-    /// reduction of the parallel executor. Work counts and I/O counters are
-    /// pure sums (independent of worker interleaving); CPU phase times take
-    /// the **max over workers**, because workers run concurrently and a
-    /// phase costs as much wall-clock as its slowest worker; the recursion
-    /// depth takes the max. Run-level fields (`partitions`, `grid`, `model`,
-    /// `sort`, first-result probes, and the channel decomposition
-    /// `io_shared`/`io_channels`, which the coordinator derives from the
-    /// disk's per-channel meters after all forks fold back) belong to the
-    /// coordinating run and are kept from `self`.
+    /// reduction of the parallel executor. Work counts are pure sums, the
+    /// recursion depth takes the max, and the cost record merges by
+    /// [`RunCost::merge`]. Run-level fields (`partitions`, `grid`, `sort`)
+    /// belong to the coordinating run and are kept from `self`.
     pub fn merge(&mut self, other: &PbsmStats) {
         self.copies_r += other.copies_r;
         self.copies_s += other.copies_s;
@@ -299,15 +208,7 @@ impl PbsmStats {
         self.enospc_fallbacks += other.enospc_fallbacks;
         self.checkpoint_commits += other.checkpoint_commits;
         self.join_counters.merge(&other.join_counters);
-        self.io_partition = self.io_partition.plus(&other.io_partition);
-        self.io_repart = self.io_repart.plus(&other.io_repart);
-        self.io_join = self.io_join.plus(&other.io_join);
-        self.io_dedup = self.io_dedup.plus(&other.io_dedup);
-        self.io_checkpoint = self.io_checkpoint.plus(&other.io_checkpoint);
-        self.cpu_partition = self.cpu_partition.max(other.cpu_partition);
-        self.cpu_repart = self.cpu_repart.max(other.cpu_repart);
-        self.cpu_join = self.cpu_join.max(other.cpu_join);
-        self.cpu_dedup = self.cpu_dedup.max(other.cpu_dedup);
+        self.cost.merge(&other.cost);
     }
 }
 
@@ -316,7 +217,7 @@ struct Ctx<'a> {
     cfg: &'a PbsmConfig,
     internal: &'a mut (dyn InternalJoin + Send),
     stats: &'a mut PbsmStats,
-    /// Compute clock for the `cpu_join`/`cpu_repart` phase accounting: wall
+    /// Compute clock for the join/repartition CPU accounting: wall
     /// time on the sequential path, a per-worker [`parallel::WorkClock`] on
     /// the parallel path (so the max-over-workers reduction reports the
     /// phase cost on dedicated cores, not host timeslicing).
@@ -410,7 +311,7 @@ pub fn try_pbsm_join_ctl(
     // Absolute position on the simulated timeline: disk-model seconds for an
     // I/O meter reading plus scaled CPU — phase spans and events are stamped
     // with this, never with wall time.
-    let sim_at = |io: &IoStats, cpu: f64| model.seconds(io) + model.scaled_cpu(cpu);
+    let sim_at = |io: &IoStats, cpu: f64| RunCost::clock(&model, &(cpu, *io));
 
     (stats.candidates, stats.results, stats.duplicates) = sink.committed_totals();
     let phase = sink.checkpoint().map(|c| (c.phase(), c.partitions()));
@@ -518,13 +419,12 @@ pub fn try_pbsm_join_ctl(
         stats.copies_s = copies_s;
         (files_r, files_s)
     };
-    stats.io_partition = disk.stats().delta(&io0);
-    stats.cpu_partition = t0.elapsed().as_secs_f64();
-    ctl.span(
-        "partition",
-        sim_at(&io0, 0.0),
-        sim_at(&disk.stats(), stats.cpu_partition),
-    );
+    let cpu_base = t0.elapsed().as_secs_f64();
+    stats.cost[Phase::Partition] = PhaseCost {
+        cpu: cpu_base,
+        io: disk.stats().delta(&io0),
+    };
+    ctl.span("partition", sim_at(&io0, 0.0), sim_at(&disk.stats(), cpu_base));
 
     // Publish the `Join` manifest (journal + results files + partition file
     // list) before any partition can commit.
@@ -554,7 +454,6 @@ pub fn try_pbsm_join_ctl(
     let coord_clock = parallel::WorkClock::start();
     // Simulated time so far — what the deadline is charged against at every
     // partition boundary.
-    let cpu_base = stats.cpu_partition;
     let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + coord_clock.seconds());
     // Join-phase work units still to do: a resumed run skips every
     // journal-committed partition (whose pairs the crashed process already
@@ -633,7 +532,7 @@ pub fn try_pbsm_join_ctl(
                             let joined = join_loaded(
                                 &mut ctx, &mut rv, &mut sv, &chain, &mut emit, &mut cand,
                             );
-                            ctx.stats.cpu_join += coord_clock.seconds() - c0;
+                            ctx.stats.cost[Phase::Join].cpu += coord_clock.seconds() - c0;
                             joined.map_err(|e| JoinError::new("dedup", e))
                         }
                     }
@@ -711,7 +610,7 @@ pub fn try_pbsm_join_ctl(
             threads,
             todo.len(),
             cfg.max_partition_requeues,
-            Some(cancel),
+            Some(&cancel),
             |_w| {
                 (
                     disk.fork_counters(),
@@ -783,8 +682,7 @@ pub fn try_pbsm_join_ctl(
                 // folding it here (after the snapshot) keeps the rollback
                 // semantics of a failed attempt: its load I/O stays charged,
                 // and the requeued round re-loads with a fresh budget.
-                partial.io_join = partial.io_join.plus(&pre.io);
-                partial.cpu_join += pre.cpu;
+                partial.cost[Phase::Join].add(pre.cpu, &pre.io);
                 let io_before = fork.stats();
                 let cpu_before = work_clock.seconds();
                 let chain = RegionChain::top(grid, map, i);
@@ -848,12 +746,8 @@ pub fn try_pbsm_join_ctl(
                         // bucket while the fork's meter kept them, so the
                         // per-phase retry breakdown disagreed with the
                         // disk's total meter.
-                        let attempted = partial.clone();
-                        *partial = snapshot;
-                        partial.io_join = attempted.io_join;
-                        partial.io_repart = attempted.io_repart;
-                        partial.cpu_join = attempted.cpu_join;
-                        partial.cpu_repart = attempted.cpu_repart;
+                        let attempted = std::mem::replace(partial, snapshot);
+                        partial.cost = attempted.cost;
                         // A failure in the last allowed round is terminal —
                         // the pool will not requeue past the cap — so name
                         // the partition, the attempt count and the last I/O
@@ -948,7 +842,7 @@ pub fn try_pbsm_join_ctl(
         // Cross-check the scheduler's own requeue count against the
         // per-worker accounting (they can only diverge when a cancellation
         // leaves a queued retry unclaimed).
-        if sink.is_live() && !ctl.cancel.is_cancelled() {
+        if sink.is_live() && !cancel.is_cancelled() {
             debug_assert_eq!(
                 u64::from(stats.requeued_partitions),
                 pool.requeues,
@@ -969,20 +863,15 @@ pub fn try_pbsm_join_ctl(
         sink.check()?;
     }
 
-    ctl.span(
-        "join",
-        sim_at(&base_io, cpu_base),
-        sim_at(
-            &disk.stats(),
-            stats.cpu_partition + stats.cpu_repart + stats.cpu_join,
-        ),
-    );
+    let cpu_pre = stats.cost[Phase::Partition].cpu
+        + stats.cost[Phase::Repartition].cpu
+        + stats.cost[Phase::Join].cpu;
+    ctl.span("join", sim_at(&base_io, cpu_base), sim_at(&disk.stats(), cpu_pre));
 
     // --- Phase 4 (SortPhase only): sort candidates, drop duplicates --------
     let mut first_pos = sink.first();
     if let (Some(ddisk), Some(writer)) = (dedup_disk, candidates) {
         let t3 = Instant::now();
-        let cpu_pre = stats.cpu_partition + stats.cpu_repart + stats.cpu_join;
         let dd_start = sim_at(&disk.stats().plus(&ddisk.stats()), cpu_pre);
         let cand_file = writer
             .try_finish()
@@ -1020,28 +909,30 @@ pub fn try_pbsm_join_ctl(
         }
         ddisk.delete(sorted);
         stats.sort = Some(sort_stats);
-        stats.io_dedup = ddisk.stats();
-        stats.cpu_dedup = t3.elapsed().as_secs_f64();
+        let dedup = PhaseCost {
+            cpu: t3.elapsed().as_secs_f64(),
+            io: ddisk.stats(),
+        };
+        stats.cost[Phase::Dedup] = dedup;
         ctl.span(
             "dedup",
             dd_start,
-            sim_at(&disk.stats().plus(&ddisk.stats()), cpu_pre + stats.cpu_dedup),
+            sim_at(&disk.stats().plus(&dedup.io), cpu_pre + dedup.cpu),
         );
     }
 
     // Publish `Done` and drop the partition files; the journal, results and
     // manifest files remain as the run's durable record.
     sink.publish(|cp| cp.finish())?;
-    stats.io_checkpoint = sink.io_checkpoint;
+    stats.cost[Phase::Checkpoint].io = sink.io_checkpoint;
     stats.checkpoint_commits = sink.commits;
-    stats.first_result_cpu = first_pos.as_ref().map(|p| p.0);
-    stats.first_result_io = first_pos.map(|p| p.1);
+    stats.cost.first = first_pos;
     // Channel decomposition of this run's I/O (every fork has folded back
     // by now), with the dedup scratch disk's traffic on the shared lane —
     // its files are untagged, so its time serializes like any shared file.
     let (shared, channels) = disk.channel_deltas(&ch0);
-    stats.io_shared = shared.plus(&stats.io_dedup);
-    stats.io_channels = channels;
+    stats.cost.io_shared = shared.plus(&stats.cost[Phase::Dedup].io);
+    stats.cost.io_channels = channels;
     Ok(stats)
 }
 
@@ -1425,7 +1316,7 @@ fn quarantine_join(
     let mut sv = members(s);
     ctx.stats.quarantined_partitions += 1;
     let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
-    ctx.stats.cpu_join += (ctx.clock)() - c0;
+    ctx.stats.cost[Phase::Join].cpu += (ctx.clock)() - c0;
     joined.map_err(|e| JoinError::in_partition("dedup", top, e))
 }
 
@@ -1495,13 +1386,11 @@ fn join_pair(
         match loaded {
             Ok((mut rv, mut sv)) => {
                 let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
-                ctx.stats.io_join = ctx.stats.io_join.plus(&disk.stats().delta(&io0));
-                ctx.stats.cpu_join += (ctx.clock)() - c0;
+                ctx.stats.cost[Phase::Join].add((ctx.clock)() - c0, &disk.stats().delta(&io0));
                 return joined.map_err(|e| JoinError::in_partition("dedup", top, e));
             }
             Err(e) => {
-                ctx.stats.io_join = ctx.stats.io_join.plus(&disk.stats().delta(&io0));
-                ctx.stats.cpu_join += (ctx.clock)() - c0;
+                ctx.stats.cost[Phase::Join].add((ctx.clock)() - c0, &disk.stats().delta(&io0));
                 if e.kind.is_persistent() {
                     // Persistent damage: re-reads fail identically, and the
                     // repartitioning fallback would read the same damaged
@@ -1621,8 +1510,7 @@ fn join_pair(
             }
         }
     }
-    ctx.stats.io_repart = ctx.stats.io_repart.plus(&disk.stats().delta(&io0));
-    ctx.stats.cpu_repart += (ctx.clock)() - c0;
+    ctx.stats.cost[Phase::Repartition].add((ctx.clock)() - c0, &disk.stats().delta(&io0));
     if let Some(e) = copy_err {
         if e.kind.is_persistent() {
             // The copy pass hit persistent damage (a bad sector in the file
@@ -1759,8 +1647,8 @@ mod tests {
         assert_eq!(st_rpm.results, st_sort.results);
         // Identical candidate sets, but only the sort phase does dedup I/O.
         assert_eq!(st_rpm.candidates, st_sort.candidates);
-        assert_eq!(st_rpm.io_dedup, IoStats::default());
-        assert!(st_sort.io_dedup.pages_written > 0);
+        assert_eq!(st_rpm.cost[Phase::Dedup].io, IoStats::default());
+        assert!(st_sort.cost[Phase::Dedup].io.pages_written > 0);
         assert!(st_sort.sort.is_some());
     }
 
@@ -1986,14 +1874,16 @@ mod tests {
         let disk = SimDisk::with_default_model();
         let stats = pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {});
         // Partition + repart + join I/O happens on the main disk...
-        let main = stats.io_partition.plus(&stats.io_repart).plus(&stats.io_join);
+        let main = [Phase::Partition, Phase::Repartition, Phase::Join]
+            .iter()
+            .fold(IoStats::default(), |acc, &p| acc.plus(&stats.cost[p].io));
         assert_eq!(main, disk.stats());
         // ...and totals include the dedup disk.
         assert_eq!(
-            stats.io_total().pages_written,
-            main.pages_written + stats.io_dedup.pages_written
+            stats.cost.io_total().pages_written,
+            main.pages_written + stats.cost[Phase::Dedup].io.pages_written
         );
-        assert!(stats.total_seconds() > 0.0);
+        assert!(stats.cost.total_seconds() > 0.0);
         assert!(stats.repart_fraction() >= 0.0 && stats.repart_fraction() <= 1.0);
     }
 
@@ -2025,36 +1915,37 @@ mod tests {
         // thread-invariant; only the clock model changes.
         assert_eq!(res1, res4);
         assert_eq!(res4, res4t);
-        assert_eq!(st1.io_total(), st4.io_total());
-        assert_eq!(st4.io_total(), st4t.io_total());
+        assert_eq!(st1.cost.io_total(), st4.cost.io_total());
+        assert_eq!(st4.cost.io_total(), st4t.cost.io_total());
         assert_eq!(
             (st1.candidates, st1.results, st1.duplicates),
             (st4.candidates, st4.results, st4.duplicates)
         );
         // The channel meters are an exact decomposition of the total.
-        assert_eq!(st1.io_channels.len(), 1);
-        assert_eq!(st4.io_channels.len(), 4);
+        assert_eq!(st1.cost.io_channels.len(), 1);
+        assert_eq!(st4.cost.io_channels.len(), 4);
         for st in [&st1, &st4, &st4t] {
-            let mut sum = st.io_shared;
-            for c in &st.io_channels {
+            let mut sum = st.cost.io_shared;
+            for c in &st.cost.io_channels {
                 sum = sum.plus(c);
             }
-            assert_eq!(sum, st.io_total());
+            assert_eq!(sum, st.cost.io_total());
         }
         // One channel reduces bit-exactly to the serial clock...
-        assert_eq!(st1.total_seconds(), st1.scaled_cpu_seconds() + st1.io_seconds());
+        let c1 = &st1.cost;
+        assert_eq!(c1.total_seconds(), c1.scaled_cpu_seconds() + c1.io_seconds());
         // ...four channels spread the partition files and strictly beat it.
         assert!(
-            st4.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
+            st4.cost.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
             "partition files should land on several channels"
         );
         assert!(
-            st4.total_seconds() < st1.total_seconds(),
+            st4.cost.total_seconds() < st1.cost.total_seconds(),
             "channels=4 ({}) should strictly beat channels=1 ({})",
-            st4.total_seconds(),
-            st1.total_seconds()
+            st4.cost.total_seconds(),
+            st1.cost.total_seconds()
         );
-        assert_eq!(st4.total_seconds(), st4t.total_seconds());
+        assert_eq!(st4.cost.total_seconds(), st4t.cost.total_seconds());
     }
 
     #[test]
@@ -2254,8 +2145,8 @@ mod formula_tests {
             },
             &mut |_, _| {},
         );
-        assert_eq!(st.io_partition, IoStats::default());
-        assert!(st.io_dedup.pages_written > 0);
+        assert_eq!(st.cost[Phase::Partition].io, IoStats::default());
+        assert!(st.cost[Phase::Dedup].io.pages_written > 0);
         assert_eq!(st.results, n);
     }
 

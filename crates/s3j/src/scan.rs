@@ -7,7 +7,8 @@ use geom::{reference_point, Kpe, RecordId};
 use sfc::{Cell, Curve, MAX_LEVEL};
 use storage::{
     try_external_sort_by, ClockPos, DiskModel, FileId, Finished, IoError, IoStats, JoinError,
-    PartitionSink, RecordReader, RecordWriter, RunControl, RunPhase, SimDisk,
+    PartitionSink, Phase, PhaseCost, RecordReader, RecordWriter, RunControl, RunCost, RunPhase,
+    SimDisk,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -94,24 +95,6 @@ pub struct S3jStats {
     pub join_counters: JoinCounters,
     pub sort_runs: usize,
     pub sort_passes_max: usize,
-    pub io_partition: IoStats,
-    pub io_sort: IoStats,
-    pub io_join: IoStats,
-    /// Checkpoint-layer I/O of a durable run (manifest publishes, journal
-    /// and results-file appends); zero without a checkpoint.
-    pub io_checkpoint: IoStats,
-    /// Shared-lane I/O: untagged files (manifest, journal, results, sort
-    /// scratch that outlives its level tag) whose requests serialize on the
-    /// multi-channel clock. With `io_channels` this is an exact
-    /// field-for-field decomposition of [`io_total`](Self::io_total).
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O: level `l`'s file (and its sort runs, which
-    /// inherit the tag) rides channel `l mod D` for both relations. Always
-    /// `model.data_channels()` entries.
-    pub io_channels: Vec<IoStats>,
-    pub cpu_partition: f64,
-    pub cpu_sort: f64,
-    pub cpu_join: f64,
     /// Peak bytes of partitions resident during the join scan.
     pub peak_partition_bytes: usize,
     /// Durable per-partition journal commits performed by this run (zero
@@ -123,85 +106,31 @@ pub struct S3jStats {
     /// switched to the in-memory replay. The run completes with the exact
     /// result set either way; this only marks that it ran degraded.
     pub quarantined_levels: u32,
-    pub model: DiskModel,
-    /// CPU position of the earliest result on the *pipelined* clock (scan
-    /// base plus the emitting task's own CPU), minimized over tasks — the
-    /// same at every thread count.
-    pub first_result_cpu: Option<f64>,
-    /// This run's I/O meter at the earliest result on the pipelined clock:
-    /// the discovery I/O up to the emitting partition (plus its commit I/O
-    /// when checkpointed) — scan workers themselves do no I/O.
-    pub first_result_io: Option<IoStats>,
+    /// Phase table and clock. Level `l`'s file (and its sort runs, which
+    /// inherit the tag) rides data channel `l mod D` for both relations.
+    /// Prefetch-hidden time needs no explicit prefetch stage: the
+    /// coordinator's scan does all I/O while workers join in-memory
+    /// partitions, so discovery reads on spare channels overlap compute.
+    /// The first-result probe is the scan base plus the emitting task's own
+    /// CPU, with the discovery I/O up to the emitting partition (plus its
+    /// commit I/O when checkpointed), minimized over tasks — the same at
+    /// every thread count.
+    pub cost: RunCost,
 }
 
+/// S³J's phases, in report order.
+const PHASES: &[Phase] = &[Phase::Partition, Phase::Sort, Phase::Join, Phase::Checkpoint];
+
 impl S3jStats {
-    pub fn io_total(&self) -> IoStats {
-        self.io_partition
-            .plus(&self.io_sort)
-            .plus(&self.io_join)
-            .plus(&self.io_checkpoint)
-    }
-
-    pub fn cpu_seconds(&self) -> f64 {
-        self.cpu_partition + self.cpu_sort + self.cpu_join
-    }
-
-    pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
-    }
-
-    /// CPU seconds stretched to the emulated 1999 machine.
-    pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
-    }
-
-    /// Simulated I/O wall time under the multi-channel clock: the shared
-    /// lane serializes, data channels overlap (`shared + max over
-    /// channels`). With one channel this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds).
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation — zero with a single channel.
-    /// S³J needs no explicit prefetch stage for this: the coordinator's
-    /// synchronized scan performs all I/O while workers join in-memory
-    /// partitions, so discovery reads on spare channels overlap compute.
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
-    }
-
-    /// The paper's "total runtime": (emulated) CPU plus simulated disk time
-    /// on the multi-channel clock, minus the compute/I-O overlap. With one
-    /// channel this reduces bit-exactly to `scaled_cpu + io_seconds`.
-    pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
-    }
-
     pub fn replication_rate(&self, input_len: usize) -> f64 {
         (self.copies_r + self.copies_s) as f64 / input_len.max(1) as f64
     }
 
-    /// Simulated time at which the first result appeared (None if empty).
-    /// S³J pipelines once the level files are sorted: results flow during
-    /// the synchronized scan.
-    pub fn first_result_seconds(&self) -> Option<f64> {
-        Some(
-            self.model.scaled_cpu(self.first_result_cpu?)
-                + self.model.seconds(self.first_result_io.as_ref()?),
-        )
-    }
-
     /// Folds a per-worker partial into this stats struct — the deterministic
-    /// reduction of the parallel executor. Work counts and I/O counters are
-    /// pure sums (independent of worker interleaving); CPU phase times and
-    /// the resident peak take the **max over workers** (concurrent phases
-    /// cost as much as the slowest worker). Run-level fields (`model`,
-    /// histograms, sort stats, first-result probes, and the channel
-    /// decomposition `io_shared`/`io_channels`, derived from the disk's
-    /// per-channel meters at run end) are kept from `self`.
+    /// reduction of the parallel executor. Work counts are pure sums, the
+    /// resident peak takes the max, and the cost record merges by
+    /// [`RunCost::merge`]. Run-level fields (histograms, sort stats) are
+    /// kept from `self`.
     pub fn merge(&mut self, other: &S3jStats) {
         self.copies_r += other.copies_r;
         self.copies_s += other.copies_s;
@@ -210,13 +139,7 @@ impl S3jStats {
         self.results += other.results;
         self.duplicates += other.duplicates;
         self.join_counters.merge(&other.join_counters);
-        self.io_partition = self.io_partition.plus(&other.io_partition);
-        self.io_sort = self.io_sort.plus(&other.io_sort);
-        self.io_join = self.io_join.plus(&other.io_join);
-        self.io_checkpoint = self.io_checkpoint.plus(&other.io_checkpoint);
-        self.cpu_partition = self.cpu_partition.max(other.cpu_partition);
-        self.cpu_sort = self.cpu_sort.max(other.cpu_sort);
-        self.cpu_join = self.cpu_join.max(other.cpu_join);
+        self.cost.merge(&other.cost);
         self.peak_partition_bytes = self.peak_partition_bytes.max(other.peak_partition_bytes);
         self.checkpoint_commits += other.checkpoint_commits;
         self.quarantined_levels += other.quarantined_levels;
@@ -237,21 +160,10 @@ impl S3jStats {
             join_counters: JoinCounters::default(),
             sort_runs: 0,
             sort_passes_max: 0,
-            io_partition: IoStats::default(),
-            io_sort: IoStats::default(),
-            io_join: IoStats::default(),
-            io_checkpoint: IoStats::default(),
-            io_shared: IoStats::default(),
-            io_channels: vec![IoStats::default(); model.data_channels()],
-            cpu_partition: 0.0,
-            cpu_sort: 0.0,
-            cpu_join: 0.0,
             peak_partition_bytes: 0,
             checkpoint_commits: 0,
             quarantined_levels: 0,
-            model,
-            first_result_cpu: None,
-            first_result_io: None,
+            cost: RunCost::new(model, PHASES),
         }
     }
 }
@@ -659,7 +571,7 @@ pub fn try_s3j_join_ctl(
     let mut stats = S3jStats::partial(model);
     // Absolute simulated-timeline position for trace spans: disk meter in
     // seconds plus scaled CPU.
-    let sim_at = |io: &IoStats, cpu: f64| model.seconds(io) + model.scaled_cpu(cpu);
+    let sim_at = |io: &IoStats, cpu: f64| RunCost::clock(&model, &(cpu, *io));
 
     // A resumed join phase folds the journaled counters in, so its reported
     // totals match an uninterrupted run's (the committed partitions' pairs
@@ -740,9 +652,12 @@ pub fn try_s3j_join_ctl(
         stats.code_computations = lf_r.code_computations + lf_s.code_computations;
         (lf_r.files, lf_s.files)
     };
-    stats.io_partition = disk.stats().delta(&io0);
-    stats.cpu_partition = t0.elapsed().as_secs_f64();
-    ctl.span("build", sim_at(&io0, 0.0), sim_at(&disk.stats(), stats.cpu_partition));
+    let build_cpu = t0.elapsed().as_secs_f64();
+    stats.cost[Phase::Partition] = PhaseCost {
+        cpu: build_cpu,
+        io: disk.stats().delta(&io0),
+    };
+    ctl.span("build", sim_at(&io0, 0.0), sim_at(&disk.stats(), build_cpu));
     // Durable build: after this publish, a crash or deadline during the
     // sort phase resumes from the intact unsorted level files instead of
     // re-partitioning.
@@ -764,9 +679,8 @@ pub fn try_s3j_join_ctl(
         // deleted as soon as it is consumed; a durable run keeps them until
         // the `Join` manifest — which references the sorted files instead —
         // is published, so an interrupted sort phase stays resumable.
-        let cpu_base = stats.cpu_partition;
         let elapsed =
-            || disk.io_seconds() + model.scaled_cpu(cpu_base + t1.elapsed().as_secs_f64());
+            || disk.io_seconds() + model.scaled_cpu(build_cpu + t1.elapsed().as_secs_f64());
         let mut sort_err: Option<JoinError> = None;
         let sort_levels = |lf: &[Option<FileId>],
                            src: LevelSource<'_>,
@@ -855,8 +769,10 @@ pub fn try_s3j_join_ctl(
             &mut stats,
             &mut sort_err,
         );
-        stats.io_sort = disk.stats().delta(&io1);
-        stats.cpu_sort = t1.elapsed().as_secs_f64();
+        stats.cost[Phase::Sort] = PhaseCost {
+            cpu: t1.elapsed().as_secs_f64(),
+            io: disk.stats().delta(&io1),
+        };
         if let Some(e) = sort_err {
             // Half-done sorted files are orphans either way; under a
             // checkpoint the unsorted files stay (the `Partition` manifest
@@ -879,11 +795,8 @@ pub fn try_s3j_join_ctl(
         }
         (sorted_r, sorted_s)
     };
-    ctl.span(
-        "sort",
-        sim_at(&io1, stats.cpu_partition),
-        sim_at(&disk.stats(), stats.cpu_partition + stats.cpu_sort),
-    );
+    let cpu_base = build_cpu + stats.cost[Phase::Sort].cpu;
+    ctl.span("sort", sim_at(&io1, build_cpu), sim_at(&disk.stats(), cpu_base));
 
     // --- Phase 3: synchronized scan ------------------------------------------
     // On-CPU compute clock (wall fallback): keeps the sequential and
@@ -896,10 +809,9 @@ pub fn try_s3j_join_ctl(
     // Simulated time so far — what the deadline is charged against at every
     // discovered partition (S³J scan workers do no I/O, so the
     // coordinator's meter is the whole story).
-    let cpu_base = stats.cpu_partition + stats.cpu_sort;
     let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + t2.seconds());
     if matches!(cfg.scan, ScanMode::HeapMerge) && threads > 1 {
-        // `cpu_join` is assembled inside: the coordinator's discovery scan
+        // Join CPU is assembled inside: the coordinator's discovery scan
         // plus the max-over-workers on-CPU join time — the phase cost on
         // dedicated cores, which the pool barrier realises as wall time on
         // an unloaded multicore host.
@@ -979,18 +891,18 @@ pub fn try_s3j_join_ctl(
         stats.results += ctx.results;
         stats.duplicates += ctx.duplicates;
         stats.join_counters = ctx.internal.counters();
-        stats.cpu_join = t2.seconds();
+        stats.cost[Phase::Join].cpu = t2.seconds();
     }
     // Join-phase I/O excludes what the checkpoint layer did mid-scan (those
-    // commits are accounted under `io_checkpoint`).
-    stats.io_join = disk
+    // commits are accounted to the checkpoint phase).
+    stats.cost[Phase::Join].io = disk
         .stats()
         .delta(&io2)
         .delta(&sink.io_checkpoint.delta(&ckpt2));
     ctl.span(
         "scan",
         sim_at(&io2, cpu_base),
-        sim_at(&disk.stats(), cpu_base + stats.cpu_join),
+        sim_at(&disk.stats(), cpu_base + stats.cost[Phase::Join].cpu),
     );
 
     // An interrupted durable run must keep the sorted level files — the
@@ -1005,13 +917,12 @@ pub fn try_s3j_join_ctl(
     // Publish `Done` and drop the sorted level files; the journal, results
     // and manifest files remain as the run's durable record.
     sink.publish(|c| c.finish())?;
-    stats.io_checkpoint = sink.io_checkpoint;
+    stats.cost[Phase::Checkpoint].io = sink.io_checkpoint;
     stats.checkpoint_commits = sink.commits;
-    stats.first_result_cpu = sink.first().map(|p| p.0);
-    stats.first_result_io = sink.first().map(|p| p.1);
+    stats.cost.first = sink.first();
     // Channel decomposition of this run's I/O. All S³J I/O happens on the
     // coordinator (scan workers are pure CPU), so no fork folding is needed.
-    (stats.io_shared, stats.io_channels) = disk.channel_deltas(&ch0);
+    (stats.cost.io_shared, stats.cost.io_channels) = disk.channel_deltas(&ch0);
     Ok(stats)
 }
 
@@ -1185,7 +1096,7 @@ fn heap_scan_parallel(
     elapsed: &dyn Fn() -> f64,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) {
-    let cpu_base = stats.cpu_partition + stats.cpu_sort;
+    let cpu_base = stats.cost[Phase::Partition].cpu + stats.cost[Phase::Sort].cpu;
     // Scan-phase checkpoint I/O accumulated so far (build/sort publishes):
     // subtracted out when reconstructing the sequential meter position of a
     // mid-scan delivery.
@@ -1233,14 +1144,14 @@ fn heap_scan_parallel(
             .map(|c| (0, c * chunk..tasks.len().min((c + 1) * chunk)))
             .collect()
     };
-    let model = stats.model;
+    let model = stats.cost.model;
     let units_ref = &units;
     let snaps_ref = &snaps;
     let cancel = sink.pool_cancel();
     let workers = parallel::run_ordered_with(
         threads,
         units.len(),
-        Some(cancel),
+        Some(&cancel),
         |_w| {
             (
                 JoinCtx {
@@ -1328,14 +1239,14 @@ fn heap_scan_parallel(
         partial.results = ctx.results;
         partial.duplicates = ctx.duplicates;
         partial.join_counters = ctx.internal.counters();
-        partial.cpu_join = cpu;
+        partial.cost[Phase::Join].cpu = cpu;
         stats.merge(&partial);
     }
     // Coordinator discovery (the phase's only non-checkpoint I/O and heap
     // work) happens before the workers start; it adds to whichever worker
     // was slowest. Without a checkpoint nothing below discovery can fail:
     // the worker tasks are pure CPU over in-memory partitions.
-    stats.cpu_join += discover_secs;
+    stats.cost[Phase::Join].cpu += discover_secs;
     if ctl.observed() {
         ctl.event(
             "pool-drained",
@@ -1629,7 +1540,7 @@ mod tests {
             assert_eq!(hs.results, ps.results);
             // The naive scan re-reads level files: strictly more join I/O.
             assert!(
-                ps.io_join.pages_read >= hs.io_join.pages_read,
+                ps.cost[Phase::Join].io.pages_read >= hs.cost[Phase::Join].io.pages_read,
                 "pair-scan should not read less"
             );
         }
@@ -1673,7 +1584,7 @@ mod tests {
         );
         assert_eq!(peano, hilbert);
         // §4.4.2: curve choice affects neither I/O nor intersection tests.
-        assert_eq!(pstats.io_total(), hstats.io_total());
+        assert_eq!(pstats.cost.io_total(), hstats.cost.io_total());
         assert_eq!(pstats.join_counters.tests, hstats.join_counters.tests);
     }
 
@@ -1728,8 +1639,8 @@ mod tests {
         let (r, s) = tiger_pair(1000);
         let disk = SimDisk::with_default_model();
         let stats = s3j_join(&disk, &r, &s, &S3jConfig::default(), &mut |_, _| {});
-        assert_eq!(stats.io_total(), disk.stats());
-        assert!(stats.total_seconds() > 0.0);
+        assert_eq!(stats.cost.io_total(), disk.stats());
+        assert!(stats.cost.total_seconds() > 0.0);
         assert!(stats.peak_partition_bytes > 0);
     }
 
@@ -1760,32 +1671,33 @@ mod tests {
         // Results and counters are channel- and thread-invariant.
         assert_eq!(res1, res4);
         assert_eq!(res4, res4t);
-        assert_eq!(st1.io_total(), st4.io_total());
-        assert_eq!(st4.io_total(), st4t.io_total());
+        assert_eq!(st1.cost.io_total(), st4.cost.io_total());
+        assert_eq!(st4.cost.io_total(), st4t.cost.io_total());
         // The channel meters are an exact decomposition of the total.
-        assert_eq!(st1.io_channels.len(), 1);
-        assert_eq!(st4.io_channels.len(), 4);
+        assert_eq!(st1.cost.io_channels.len(), 1);
+        assert_eq!(st4.cost.io_channels.len(), 4);
         for st in [&st1, &st4, &st4t] {
-            let mut sum = st.io_shared;
-            for c in &st.io_channels {
+            let mut sum = st.cost.io_shared;
+            for c in &st.cost.io_channels {
                 sum = sum.plus(c);
             }
-            assert_eq!(sum, st.io_total());
+            assert_eq!(sum, st.cost.io_total());
         }
         // One channel reduces bit-exactly to the serial clock; four spread
         // the level files across channels and strictly beat it.
-        assert_eq!(st1.total_seconds(), st1.scaled_cpu_seconds() + st1.io_seconds());
+        let c1 = &st1.cost;
+        assert_eq!(c1.total_seconds(), c1.scaled_cpu_seconds() + c1.io_seconds());
         assert!(
-            st4.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
+            st4.cost.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
             "level files should land on several channels"
         );
         assert!(
-            st4.total_seconds() < st1.total_seconds(),
+            st4.cost.total_seconds() < st1.cost.total_seconds(),
             "channels=4 ({}) should strictly beat channels=1 ({})",
-            st4.total_seconds(),
-            st1.total_seconds()
+            st4.cost.total_seconds(),
+            st1.cost.total_seconds()
         );
-        assert_eq!(st4.total_seconds(), st4t.total_seconds());
+        assert_eq!(st4.cost.total_seconds(), st4t.cost.total_seconds());
     }
 }
 

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use geom::{Kpe, Rect, RecordId};
 use rand::prelude::*;
-use storage::{DiskModel, FileId, IoStats, RecordReader, RecordWriter, SimDisk};
+use storage::{FileId, Phase, PhaseCost, RecordReader, RecordWriter, RunCost, SimDisk};
 use sweep::{InternalAlgo, JoinCounters};
 
 /// SHJ tuning knobs.
@@ -81,58 +81,14 @@ pub struct ShjStats {
     pub overflowed_pairs: u32,
     pub results: u64,
     pub join_counters: JoinCounters,
-    pub io_build: IoStats,
-    pub io_probe: IoStats,
-    pub io_join: IoStats,
-    /// Shared-lane I/O. SHJ's bucket files are untagged (the baseline's
-    /// build/probe passes interleave one sequential stream), so this equals
-    /// [`io_total`](Self::io_total) and the data channels carry nothing:
-    /// extra channels cannot speed SHJ up.
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O — always `model.data_channels()` zero entries.
-    pub io_channels: Vec<IoStats>,
-    pub cpu_build: f64,
-    pub cpu_probe: f64,
-    pub cpu_join: f64,
-    pub model: DiskModel,
+    /// Phase table and clock. SHJ's bucket files are untagged (the
+    /// baseline's build/probe passes interleave one sequential stream), so
+    /// all its I/O rides the shared lane: extra channels cannot speed SHJ
+    /// up.
+    pub cost: RunCost,
 }
 
 impl ShjStats {
-    pub fn io_total(&self) -> IoStats {
-        self.io_build.plus(&self.io_probe).plus(&self.io_join)
-    }
-
-    pub fn cpu_seconds(&self) -> f64 {
-        self.cpu_build + self.cpu_probe + self.cpu_join
-    }
-
-    pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
-    }
-
-    pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
-    }
-
-    /// Simulated I/O wall time under the multi-channel clock. All SHJ I/O
-    /// is shared-lane, so this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds) at every channel count.
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation — always zero here (no data
-    /// channels carry traffic, so there is nothing to overlap).
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
-    }
-
-    pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
-    }
-
     /// Probe-side replication rate.
     pub fn replication_rate(&self, probe_len: usize) -> f64 {
         self.probe_copies as f64 / probe_len.max(1) as f64
@@ -149,7 +105,6 @@ pub fn shj_join(
     cfg: &ShjConfig,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> ShjStats {
-    let model = disk.model();
     let mut stats = ShjStats {
         buckets: 0,
         probe_copies: 0,
@@ -157,15 +112,7 @@ pub fn shj_join(
         overflowed_pairs: 0,
         results: 0,
         join_counters: JoinCounters::default(),
-        io_build: IoStats::default(),
-        io_probe: IoStats::default(),
-        io_join: IoStats::default(),
-        io_shared: IoStats::default(),
-        io_channels: vec![IoStats::default(); model.data_channels()],
-        cpu_build: 0.0,
-        cpu_probe: 0.0,
-        cpu_join: 0.0,
-        model,
+        cost: RunCost::new(disk.model(), &[Phase::Build, Phase::Probe, Phase::Join]),
     };
     if r.is_empty() || s.is_empty() {
         return stats;
@@ -207,8 +154,10 @@ pub fn shj_join(
         });
     }
     let build_files: Vec<FileId> = build_writers.into_iter().map(|w| w.finish()).collect();
-    stats.io_build = disk.stats().delta(&io0);
-    stats.cpu_build = t0.elapsed().as_secs_f64();
+    stats.cost[Phase::Build] = PhaseCost {
+        cpu: t0.elapsed().as_secs_f64(),
+        io: disk.stats().delta(&io0),
+    };
 
     // --- Phase 3: replicate the probe relation into overlapping buckets ----
     let t1 = Instant::now();
@@ -232,8 +181,10 @@ pub fn shj_join(
         }
     }
     let probe_files: Vec<FileId> = probe_writers.into_iter().map(|w| w.finish()).collect();
-    stats.io_probe = disk.stats().delta(&io1);
-    stats.cpu_probe = t1.elapsed().as_secs_f64();
+    stats.cost[Phase::Probe] = PhaseCost {
+        cpu: t1.elapsed().as_secs_f64(),
+        io: disk.stats().delta(&io1),
+    };
 
     // --- Phase 4: join bucket pairs in memory --------------------------------
     let t2 = Instant::now();
@@ -261,10 +212,12 @@ pub fn shj_join(
         disk.delete(*fp);
     }
     stats.join_counters = internal.counters();
-    stats.io_join = disk.stats().delta(&io2);
-    stats.cpu_join = t2.elapsed().as_secs_f64();
+    stats.cost[Phase::Join] = PhaseCost {
+        cpu: t2.elapsed().as_secs_f64(),
+        io: disk.stats().delta(&io2),
+    };
     // All bucket files are untagged: the whole run rides the shared lane.
-    stats.io_shared = stats.io_total();
+    stats.cost.io_shared = stats.cost.io_total();
     stats
 }
 
@@ -438,12 +391,12 @@ mod tests {
             ..Default::default()
         };
         let st = shj_join(&disk, &r, &s, &cfg, &mut |_, _| {});
-        assert_eq!(st.io_total(), disk.stats());
+        assert_eq!(st.cost.io_total(), disk.stats());
         // Build side written once, never replicated.
         assert_eq!(
-            st.io_build.bytes_written,
+            st.cost[Phase::Build].io.bytes_written,
             (r.len() * Kpe::ENCODED_SIZE) as u64
         );
-        assert!(st.total_seconds() > 0.0);
+        assert!(st.cost.total_seconds() > 0.0);
     }
 }

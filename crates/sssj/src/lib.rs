@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use geom::{Kpe, RecordId};
-use storage::{external_sort_slice, DiskModel, IoStats, RecordReader, SimDisk, SortStats};
+use storage::{external_sort_slice, Phase, PhaseCost, RecordReader, RunCost, SimDisk, SortStats};
 use sweep::JoinCounters;
 
 /// SSSJ tuning knobs.
@@ -46,69 +46,13 @@ pub struct SssjStats {
     pub join_counters: JoinCounters,
     pub sort_r: SortStats,
     pub sort_s: SortStats,
-    pub io_sort: IoStats,
-    pub io_join: IoStats,
-    pub cpu_sort: f64,
-    pub cpu_join: f64,
     /// Peak rectangles resident in the sweep-line status.
     pub peak_status: usize,
-    /// Shared-lane I/O. SSSJ's sort/sweep files are untagged (one run file
-    /// pair, scanned sequentially — no partition structure to spread), so
-    /// this equals [`io_total`](Self::io_total) and `io_channels` is empty
-    /// of traffic: extra channels cannot speed SSSJ up.
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O — always `model.data_channels()` zero entries.
-    pub io_channels: Vec<IoStats>,
-    pub model: DiskModel,
-    /// CPU/I/O position of the first emitted result (None if no results).
-    pub first_result_cpu: Option<f64>,
-    pub first_result_io: Option<IoStats>,
-}
-
-impl SssjStats {
-    pub fn io_total(&self) -> IoStats {
-        self.io_sort.plus(&self.io_join)
-    }
-
-    pub fn cpu_seconds(&self) -> f64 {
-        self.cpu_sort + self.cpu_join
-    }
-
-    pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
-    }
-
-    /// CPU seconds stretched to the emulated 1999 machine.
-    pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
-    }
-
-    /// Simulated I/O wall time under the multi-channel clock. All SSSJ I/O
-    /// is shared-lane, so this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds) at every channel count.
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation — always zero here (no data
-    /// channels carry traffic, so there is nothing to overlap).
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
-    }
-
-    pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
-    }
-
-    /// Simulated time at which the first result appeared (None if empty).
-    pub fn first_result_seconds(&self) -> Option<f64> {
-        Some(
-            self.model.scaled_cpu(self.first_result_cpu?)
-                + self.model.seconds(self.first_result_io.as_ref()?),
-        )
-    }
+    /// Phase table and clock. SSSJ's sort/sweep files are untagged (one run
+    /// file pair, scanned sequentially — no partition structure to spread),
+    /// so all its I/O rides the shared lane: extra channels cannot speed
+    /// SSSJ up.
+    pub cost: RunCost,
 }
 
 /// Runs SSSJ on `r ⋈ s`, invoking `out` for every result pair (exactly
@@ -150,21 +94,21 @@ pub fn sssj_join(
         let (fs, st_s) = external_sort_slice::<Kpe, _, _>(disk, s, cfg.mem_bytes / 2, key);
         (Sorted::Disk(fr), Sorted::Disk(fs), st_r, st_s)
     };
-    let io_sort = disk.stats().delta(&io0);
-    let cpu_sort = run_start.elapsed().as_secs_f64();
+    let mut cost = RunCost::new(disk.model(), &[Phase::Sort, Phase::Join]);
+    cost[Phase::Sort] = PhaseCost {
+        cpu: run_start.elapsed().as_secs_f64(),
+        io: disk.stats().delta(&io0),
+    };
 
     // --- Sweep phase ----------------------------------------------------------
     let t1 = Instant::now();
     let io1 = disk.stats();
     let mut counters = JoinCounters::default();
     let mut peak_status = 0usize;
-    let mut first_result_cpu: Option<f64> = None;
-    let mut first_result_io: Option<IoStats> = None;
     {
         let mut emit = |a: RecordId, b: RecordId| {
-            if first_result_cpu.is_none() {
-                first_result_cpu = Some(run_start.elapsed().as_secs_f64());
-                first_result_io = Some(disk.stats());
+            if cost.first.is_none() {
+                cost.first = Some((run_start.elapsed().as_secs_f64(), disk.stats()));
             }
             out(a, b);
         };
@@ -193,23 +137,18 @@ pub fn sssj_join(
         disk.delete(f);
     }
 
-    let io_join = disk.stats().delta(&io1);
-    let model = disk.model();
+    cost[Phase::Join] = PhaseCost {
+        cpu: t1.elapsed().as_secs_f64(),
+        io: disk.stats().delta(&io1),
+    };
+    cost.io_shared = cost.io_total();
     SssjStats {
         results: counters.results,
         join_counters: counters,
         sort_r,
         sort_s,
-        io_sort,
-        io_join,
-        cpu_sort,
-        cpu_join: t1.elapsed().as_secs_f64(),
         peak_status,
-        io_shared: io_sort.plus(&io_join),
-        io_channels: vec![IoStats::default(); model.data_channels()],
-        model,
-        first_result_cpu,
-        first_result_io,
+        cost,
     }
 }
 
@@ -290,6 +229,7 @@ fn ordered_f64(v: f64) -> u64 {
 mod tests {
     use super::*;
     use datagen::LineNetwork;
+    use storage::IoStats;
 
     fn brute(r: &[Kpe], s: &[Kpe]) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
@@ -343,7 +283,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, brute(&r, &s));
         assert!(stats.sort_r.runs > 1);
-        assert!(stats.io_sort.pages_written > 0);
+        assert!(stats.cost[Phase::Sort].io.pages_written > 0);
     }
 
     #[test]
@@ -373,10 +313,10 @@ mod tests {
             ..Default::default()
         };
         let stats = sssj_join(&disk, &r, &s, &cfg, &mut |_, _| {});
-        let first_io = stats.first_result_io.expect("has results");
+        let first_io = stats.cost.first.expect("has results").1;
         // Blocking: all sort I/O is already on the meter at first result.
-        assert!(first_io.pages_written >= stats.io_sort.pages_written);
-        assert!(stats.first_result_seconds().unwrap() <= stats.total_seconds());
+        assert!(first_io.pages_written >= stats.cost[Phase::Sort].io.pages_written);
+        assert!(stats.cost.first_result_seconds().unwrap() <= stats.cost.total_seconds());
     }
 
     #[test]
@@ -386,7 +326,7 @@ mod tests {
             panic!("no results expected")
         });
         assert_eq!(stats.results, 0);
-        assert!(stats.first_result_seconds().is_none());
+        assert!(stats.cost.first_result_seconds().is_none());
     }
 
     #[test]

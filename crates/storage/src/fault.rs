@@ -577,7 +577,7 @@ impl FaultPlan {
 
     /// The fate of an identity: `None` if it never fails, otherwise
     /// `(fail_count, kind)` where the first `fail_count` attempts fail
-    /// ([`PERMANENT`] means all of them do).
+    /// (`u32::MAX` means all of them do).
     pub fn fate(&self, op: IoOp, offset: u64, len: u64) -> Option<(u32, IoErrorKind)> {
         if self.fault_rate <= 0.0 || (self.reads_only && op == IoOp::Write) {
             return None;

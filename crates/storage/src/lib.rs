@@ -15,6 +15,8 @@
 //! Components:
 //!
 //! * [`DiskModel`] — page size, `PT`, per-page transfer time,
+//! * [`RunCost`] — one run's phase table and the simulated clock built on
+//!   it (totals, channel-parallel time, first-result position),
 //! * [`SimDisk`] — the disk: create/delete/append/read files, [`IoStats`],
 //! * [`FileWriter`] / [`FileReader`] — buffered sequential byte streams with
 //!   multi-page requests (larger buffers ⇒ fewer positioning penalties),
@@ -34,7 +36,7 @@
 //! remain as thin wrappers (they still succeed under recoverable plans,
 //! because retries happen at the page-request level underneath them).
 //!
-//! Durability model (PR 4): the [`mod@manifest`] layer adds checkpointed
+//! Durability model (PR 4): the manifest layer adds checkpointed
 //! runs — an atomic-publish [`Manifest`], an append-only per-partition
 //! completion journal with checksummed records, and a recovery scan
 //! ([`recover`]) that truncates torn tails and sweeps orphan files — plus
@@ -44,6 +46,7 @@
 //! emit) that every partition-based executor delivers through.
 
 mod arbiter;
+mod cost;
 mod disk;
 mod fault;
 mod file;
@@ -56,6 +59,7 @@ mod retry;
 mod sink;
 
 pub use arbiter::{AdmissionError, ArbiterSnapshot, MemoryArbiter, MemoryLease};
+pub use cost::{ClockPos, Phase, PhaseCost, RunCost};
 pub use disk::{DiskModel, FileId, IoStats, SimDisk};
 // Re-exported so downstream crates can build a `RunControl` without a direct
 // `parallel` dependency.
@@ -75,7 +79,7 @@ pub use record::{
     RecordWriter,
 };
 pub use retry::RetryPolicy;
-pub use sink::{ClockPos, Finished, PartitionSink};
+pub use sink::{Finished, PartitionSink};
 pub use sort::{
     external_sort, external_sort_by, external_sort_slice, try_external_sort,
     try_external_sort_by, try_external_sort_slice, SortStats,

@@ -15,10 +15,9 @@
 use geom::RecordId;
 use parking_lot::MutexGuard;
 
-use crate::{CancelToken, IdPair, IoStats, JoinError, RunCheckpoint, RunControl, SimDisk};
-
-/// A position on the pipelined clock: (CPU seconds, run-relative I/O meter).
-pub type ClockPos = (f64, IoStats);
+use crate::{
+    CancelToken, ClockPos, IdPair, IoStats, JoinError, RunCheckpoint, RunControl, RunCost, SimDisk,
+};
 
 /// One finished work unit, handed to [`PartitionSink::commit_and_emit`].
 pub struct Finished<'p> {
@@ -58,8 +57,10 @@ pub struct PartitionSink<'a> {
     pub commits: u64,
     first: Option<ClockPos>,
     err: Option<JoinError>,
-    /// Set once a worker pool watches the run's cancel token.
-    pooled: bool,
+    /// The run-local stop signal a worker pool watches: a child of the
+    /// caller's cancel token, so a failed run stops its pool without
+    /// tripping the caller's token.
+    stop: CancelToken,
 }
 
 impl<'a> PartitionSink<'a> {
@@ -74,7 +75,7 @@ impl<'a> PartitionSink<'a> {
             commits: 0,
             first: None,
             err: None,
-            pooled: false,
+            stop: ctl.cancel.child(),
         }
     }
 
@@ -134,22 +135,22 @@ impl<'a> PartitionSink<'a> {
     }
 
     /// Latches the run's terminal error (the first one wins). A checkpointed
-    /// run that fails is dead, like the process exit it simulates: once a
-    /// pool watches the cancel token, the sink cancels it so the workers
-    /// stop claiming partitions. Committed state stays.
+    /// run that fails is dead, like the process exit it simulates: the sink
+    /// trips the pool's stop signal so the workers stop claiming
+    /// partitions. Committed state stays, and the caller's token is left
+    /// as it was.
     pub fn fail(&mut self, e: JoinError) {
         self.err.get_or_insert(e);
-        if self.cp.is_some() && self.pooled {
-            self.ctl.cancel.cancel();
+        if self.cp.is_some() {
+            self.stop.cancel();
         }
     }
 
-    /// The cancel token a worker pool should watch. From this call on, a
-    /// terminal error in a checkpointed run cancels it (see
+    /// The stop signal a worker pool should watch: it trips when the
+    /// caller's token does, and when a checkpointed run fails (see
     /// [`fail`](Self::fail)).
-    pub fn pool_cancel(&mut self) -> &'a CancelToken {
-        self.pooled = true;
-        &self.ctl.cancel
+    pub fn pool_cancel(&self) -> CancelToken {
+        self.stop.clone()
     }
 
     pub fn is_live(&self) -> bool {
@@ -165,7 +166,7 @@ impl<'a> PartitionSink<'a> {
     /// pipelined clock.
     pub fn offer_first(&mut self, cand: ClockPos) {
         let model = self.disk.model();
-        let pos = |p: &ClockPos| model.scaled_cpu(p.0) + model.seconds(&p.1);
+        let pos = |p: &ClockPos| RunCost::clock(&model, p);
         if self.first.as_ref().is_none_or(|cur| pos(&cand) < pos(cur)) {
             self.first = Some(cand);
         }

@@ -2,7 +2,7 @@
 //! paper (Table 3, Figure 3a) expressed as assertions over the simulated
 //! disk counters.
 
-use spatial_join_suite::{Algorithm, JoinStats, Kpe, SpatialJoin};
+use spatial_join_suite::{Algorithm, JoinStats, Kpe, Phase, SpatialJoin};
 
 fn datasets() -> (Vec<Kpe>, Vec<Kpe>) {
     let r = datagen::sized(&datagen::la_rr_config(71), 0.02).generate();
@@ -23,15 +23,16 @@ fn rpm_strictly_cheaper_io_than_sort_phase() {
     };
     // Identical filter work...
     assert_eq!(rpm.candidates, pd.candidates);
-    assert_eq!(rpm.io_partition, pd.io_partition);
+    assert_eq!(rpm.cost[Phase::Partition].io, pd.cost[Phase::Partition].io);
     // ...but only the sort phase touches the disk for dedup.
-    assert_eq!(rpm.io_dedup.pages_written + rpm.io_dedup.pages_read, 0);
-    assert!(pd.io_dedup.pages_written > 0);
+    let rpm_dedup = rpm.cost[Phase::Dedup].io;
+    assert_eq!(rpm_dedup.pages_written + rpm_dedup.pages_read, 0);
+    assert!(pd.cost[Phase::Dedup].io.pages_written > 0);
     // Dedup I/O scales with the candidate set: at least one write+read pass.
     let cand_bytes = pd.candidates * 16;
-    let ps = pd.model.page_size as u64;
-    assert!(pd.io_dedup.pages_written >= cand_bytes / ps);
-    assert!(pd.io_dedup.pages_read >= cand_bytes / ps);
+    let ps = pd.cost.model.page_size as u64;
+    assert!(pd.cost[Phase::Dedup].io.pages_written >= cand_bytes / ps);
+    assert!(pd.cost[Phase::Dedup].io.pages_read >= cand_bytes / ps);
 }
 
 /// The larger the result set, the larger the sort phase's overhead — the
@@ -46,7 +47,8 @@ fn dedup_io_grows_with_result_size() {
         let s = datagen::scale(&s0, p);
         let (_, st) = SpatialJoin::new(Algorithm::pbsm_original(mem)).count(&r, &s);
         let JoinStats::Pbsm(st) = &st else { unreachable!() };
-        let overhead = st.io_dedup.pages_written + st.io_dedup.pages_read;
+        let dedup = st.cost[Phase::Dedup].io;
+        let overhead = dedup.pages_written + dedup.pages_read;
         assert!(
             overhead > last_overhead,
             "p={p}: dedup I/O {overhead} did not grow past {last_overhead}"
@@ -62,14 +64,14 @@ fn pbsm_io_passes_match_table3() {
     let (r, s) = datasets();
     let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(64 * 1024)).count(&r, &s);
     let JoinStats::Pbsm(st) = &st else { unreachable!() };
-    let ps = st.model.page_size as u64;
+    let ps = st.cost.model.page_size as u64;
     let copies_bytes = (st.copies_r + st.copies_s) * Kpe::ENCODED_SIZE as u64;
     // Partitioning phase: exactly the replicated data, written once.
-    assert_eq!(st.io_partition.bytes_written, copies_bytes);
-    assert_eq!(st.io_partition.bytes_read, 0);
+    assert_eq!(st.cost[Phase::Partition].io.bytes_written, copies_bytes);
+    assert_eq!(st.cost[Phase::Partition].io.bytes_read, 0);
     // Join phase: reads what was written (plus repartition traffic).
-    let total_written = st.io_total().bytes_written;
-    let total_read = st.io_total().bytes_read;
+    let total_written = st.cost.io_total().bytes_written;
+    let total_read = st.cost.io_total().bytes_read;
     assert!(total_read >= copies_bytes);
     assert!(total_read <= 2 * total_written, "unexpected re-reading");
     let _ = ps;
@@ -83,11 +85,11 @@ fn s3j_io_passes_match_table3() {
     let (_, st) = SpatialJoin::new(Algorithm::s3j_replicated(64 * 1024)).count(&r, &s);
     let JoinStats::S3j(st) = &st else { unreachable!() };
     let level_bytes = (st.copies_r + st.copies_s) * 48; // LevelRecord::SIZE
-    assert_eq!(st.io_partition.bytes_written, level_bytes);
-    assert!(st.io_sort.bytes_read >= level_bytes);
-    assert!(st.io_sort.bytes_written >= level_bytes);
-    assert!(st.io_join.bytes_read >= level_bytes);
-    assert_eq!(st.io_join.bytes_written, 0);
+    assert_eq!(st.cost[Phase::Partition].io.bytes_written, level_bytes);
+    assert!(st.cost[Phase::Sort].io.bytes_read >= level_bytes);
+    assert!(st.cost[Phase::Sort].io.bytes_written >= level_bytes);
+    assert!(st.cost[Phase::Join].io.bytes_read >= level_bytes);
+    assert_eq!(st.cost[Phase::Join].io.bytes_written, 0);
 }
 
 /// More memory never increases the I/O volume (fewer runs, fewer merge

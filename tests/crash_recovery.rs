@@ -114,6 +114,43 @@ fn resume_after_crash_is_exactly_once_and_cheaper_than_cold() {
     }
 }
 
+/// A crashed checkpointed run stops its worker pool through a run-local
+/// signal: the caller's cancel token stays untouched, so a resume through
+/// the same `SpatialJoin` (and the same token) completes exactly once.
+#[test]
+fn a_crashed_pooled_run_leaves_the_callers_token_untouched() {
+    let (r, s) = workload(11, 140);
+    for base in [Algorithm::pbsm_rpm(MEM), Algorithm::s3j_replicated(MEM)] {
+        let algo = base.with_threads(4);
+        let ctx = format!("{algo:?}");
+        let (want, cold) = durable_leg(
+            &SpatialJoin::new(algo.clone()),
+            &SimDisk::with_default_model(),
+            &r,
+            &s,
+        );
+        cold.unwrap_or_else(|e| panic!("{ctx}: cold run failed: {e}"));
+
+        let token = CancelToken::new();
+        let join = SpatialJoin::new(algo).with_cancel(token.clone());
+        let disk = crash_disk(CrashPoint::AfterCommit(2));
+        let (first, crash_res) = durable_leg(&join, &disk, &r, &s);
+        let err = crash_res.expect_err("crash point must fire on this workload");
+        assert!(
+            matches!(err.kind, JoinErrorKind::Crashed(_)),
+            "{ctx}: got {err}"
+        );
+        assert!(
+            !token.is_cancelled(),
+            "{ctx}: the crash tripped the caller's token"
+        );
+
+        let (second, resume_res) = durable_leg(&join, &disk, &r, &s);
+        resume_res.unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"));
+        assert_exactly_once(&first, &second, &want, &ctx);
+    }
+}
+
 /// A deadline that expires mid-join (some partitions committed, some not)
 /// leaves a resumable manifest; resuming without a deadline completes the
 /// run exactly-once. Walks a deadline ladder until one lands mid-join.

@@ -99,7 +99,7 @@ fn pbsm_recoverable_faults_are_invisible_in_the_output() {
                 ..Default::default()
             };
             let (clean, clean_st) = pbsm_run(&r, &s, &cfg, None).unwrap();
-            assert_eq!(clean_st.io_total().faults_injected, 0);
+            assert_eq!(clean_st.cost.io_total().faults_injected, 0);
             let mut faults_seen = 0u64;
             for seed in 0..fault_seed_count() {
                 let plan = FaultPlan::recoverable(seed);
@@ -112,7 +112,7 @@ fn pbsm_recoverable_faults_are_invisible_in_the_output() {
                 // Recoverable faults never trigger degradation or requeues.
                 assert_eq!(st.degraded_partitions, 0);
                 assert_eq!(st.requeued_partitions, 0);
-                let io = st.io_total();
+                let io = st.cost.io_total();
                 // Every injected fault was cured by a retry.
                 assert_eq!(io.faults_injected, io.read_retries + io.write_retries);
                 assert!(io.faults_injected == 0 || io.backoff_units > 0);
@@ -149,7 +149,7 @@ fn s3j_recoverable_faults_are_invisible_in_the_output() {
                 assert_eq!(got, clean, "seed {seed} (replicate={replicate}, t={threads})");
                 assert_eq!(st.results, clean_st.results);
                 assert_eq!(st.duplicates, clean_st.duplicates);
-                let io = st.io_total();
+                let io = st.cost.io_total();
                 assert_eq!(io.faults_injected, io.read_retries + io.write_retries);
                 faults_seen += io.faults_injected;
             }
@@ -173,10 +173,10 @@ fn retry_accounting_is_deterministic_and_thread_independent() {
     };
     let (_, a) = pbsm_run(&r, &s, &cfg(1), Some(plan)).unwrap();
     let (_, b) = pbsm_run(&r, &s, &cfg(1), Some(plan)).unwrap();
-    assert_eq!(a.io_total(), b.io_total(), "repeat run diverges");
+    assert_eq!(a.cost.io_total(), b.cost.io_total(), "repeat run diverges");
     let (_, par) = pbsm_run(&r, &s, &cfg(4), Some(plan)).unwrap();
-    assert_eq!(a.io_total(), par.io_total(), "thread count changes accounting");
-    assert!(a.io_total().faults_injected > 0);
+    assert_eq!(a.cost.io_total(), par.cost.io_total(), "thread count changes accounting");
+    assert!(a.cost.io_total().faults_injected > 0);
 }
 
 /// Degraded plan (read faults outlasting one retry budget): sequential PBSM
@@ -385,9 +385,9 @@ proptest! {
             prop_assert_eq!(&got, &clean, "threads={}", threads);
             let (got2, st2) = pbsm_run(&r, &s, &cfg, Some(plan)).unwrap();
             prop_assert_eq!(&got2, &clean);
-            prop_assert_eq!(st.io_total(), st2.io_total());
+            prop_assert_eq!(st.cost.io_total(), st2.cost.io_total());
             // Every injected fault is accounted for by exactly one retry.
-            let io = st.io_total();
+            let io = st.cost.io_total();
             prop_assert_eq!(io.faults_injected, io.read_retries + io.write_retries);
         }
     }

@@ -5,17 +5,17 @@
 //! The `partition-done` trace stream is pinned the same way.
 //!
 //! "Exactly" means field-for-field [`IoStats`] equality (the struct is
-//! `Eq`) and bit-exact f64 equality for the CPU fold: the report builder
-//! sums phases in the same order as each stats struct's own accessor, so
-//! any drift is a real accounting bug, not float noise.
+//! `Eq`) and bit-exact f64 equality for the CPU fold: the total and the
+//! exported rows come from one phase table summed in one order, so any
+//! drift is a real accounting bug, not float noise.
 
 use std::sync::Arc;
 
 use datagen::Adversarial;
 use geom::Kpe;
 use spatialjoin::{
-    Algorithm, CrashPoint, FaultPlan, JoinErrorKind, JoinStats, Recorder, RetryPolicy, SimDisk,
-    SpatialJoin,
+    Algorithm, CrashPoint, DiskModel, FaultPlan, InternalAlgo, JoinErrorKind, JoinStats, Recorder,
+    RetryPolicy, SimDisk, SpatialJoin,
 };
 use storage::{FileId, IoStats, Recovered};
 
@@ -60,7 +60,7 @@ fn phase_meters_sum_exactly_under_faults_and_threads() {
     let (r, s) = workload(41, 160);
     let algos = [
         Algorithm::pbsm_rpm(MEM),
-        Algorithm::pbsm_original(MEM), // sort-phase dedup: exercises io_dedup staging
+        Algorithm::pbsm_original(MEM), // sort-phase dedup: exercises dedup-phase staging
         Algorithm::s3j_replicated(MEM),
         Algorithm::sssj(MEM),
         Algorithm::shj(MEM),
@@ -198,6 +198,50 @@ fn exported_json_matches_the_stats_surface() {
     assert!(json.contains("\"prefetch_hidden_seconds\""));
     assert!(json.contains(&format!("\"results\": {}", st.results())));
     assert!(json.contains(&format!("\"duplicates\": {}", st.duplicates())));
+}
+
+/// The exported phase table of every variant, pinned: names and order of
+/// `metrics_report().phases`, the same rows from `io_phases()`, and a report
+/// that reconciles. At `cpu_slowdown` 0 every exported number is simulated
+/// I/O, so nothing here depends on the host.
+#[test]
+fn exported_phase_table_is_pinned_for_every_variant() {
+    const PBSM: &[&str] = &["partition", "repartition", "join", "dedup", "checkpoint"];
+    const S3J: &[&str] = &["partition", "sort", "join", "checkpoint"];
+    let (r, s) = workload(29, 160);
+    let rpm = |internal| Algorithm::pbsm_rpm(MEM).with_internal(internal);
+    let variants: [(Algorithm, &[&str]); 10] = [
+        (rpm(InternalAlgo::NestedLoops), PBSM),
+        (rpm(InternalAlgo::PlaneSweepList), PBSM),
+        (rpm(InternalAlgo::PlaneSweepTrie), PBSM),
+        (Algorithm::pbsm_original(MEM), PBSM),
+        (Algorithm::two_layer(MEM), PBSM),
+        (Algorithm::s3j_replicated(MEM), S3J),
+        (Algorithm::s3j_original(MEM), S3J),
+        (Algorithm::sssj(MEM), &["sort", "join"]),
+        (Algorithm::shj(MEM), &["build", "probe", "join"]),
+        (Algorithm::quadtree(1 << 20), &["build", "join"]),
+    ];
+    let model = DiskModel {
+        cpu_slowdown: 0.0,
+        ..DiskModel::default()
+    };
+    for (algo, want) in variants {
+        let ctx = format!("{algo:?}");
+        let (_, st) = SpatialJoin::new(algo).with_disk_model(model).count(&r, &s);
+        let report = st.metrics_report("phase-table-test", 1);
+        let names: Vec<&str> = report.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, want, "{ctx}: exported phase names or order changed");
+        let rows: Vec<(&str, IoStats)> = report.phases.iter().map(|p| (p.name, p.io)).collect();
+        assert_eq!(
+            st.io_phases(),
+            rows,
+            "{ctx}: io_phases() disagrees with the report"
+        );
+        if let Err(e) = report.reconcile() {
+            panic!("{ctx}: exported report fails its own gate: {e}");
+        }
+    }
 }
 
 /// One `partition-done` event reduced to what must not depend on the

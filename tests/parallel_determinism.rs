@@ -90,7 +90,11 @@ fn pbsm_threads4_matches_threads1_per_dedup_mode() {
         assert_eq!(st1.copies_r + st1.copies_s, st4.copies_r + st4.copies_s);
         assert_eq!(st1.repartitioned_pairs, st4.repartitioned_pairs, "{dedup:?}");
         assert_eq!(st1.join_counters.tests, st4.join_counters.tests, "{dedup:?}");
-        assert_eq!(st1.io_total(), st4.io_total(), "I/O accounting diverges ({dedup:?})");
+        assert_eq!(
+            st1.cost.io_total(),
+            st4.cost.io_total(),
+            "I/O accounting diverges ({dedup:?})"
+        );
     }
 }
 
@@ -114,7 +118,11 @@ fn s3j_threads4_matches_threads1_per_dedup_mode() {
         assert_eq!(st1.results, st4.results);
         assert_eq!(st1.duplicates, st4.duplicates);
         assert_eq!(st1.join_counters.tests, st4.join_counters.tests);
-        assert_eq!(st1.io_total(), st4.io_total(), "I/O accounting diverges");
+        assert_eq!(
+            st1.cost.io_total(),
+            st4.cost.io_total(),
+            "I/O accounting diverges"
+        );
     }
 }
 

@@ -3,7 +3,7 @@
 //! simulated time, plus the streaming operator tree.
 
 use exec::{Collected, JoinAlgorithm, KpeScan, Operator, SpatialJoinOp};
-use spatial_join_suite::{Algorithm, SimDisk, SpatialJoin};
+use spatial_join_suite::{Algorithm, Phase, SimDisk, SpatialJoin};
 
 fn datasets() -> (Vec<geom::Kpe>, Vec<geom::Kpe>) {
     (
@@ -52,8 +52,8 @@ fn sssj_first_tuple_waits_for_sorting() {
     let spatialjoin::JoinStats::Sssj(st) = &st else {
         unreachable!()
     };
-    let first_io = st.first_result_io.as_ref().unwrap();
-    assert!(first_io.pages_written >= st.io_sort.pages_written);
+    let first_io = st.cost.first.as_ref().unwrap().1;
+    assert!(first_io.pages_written >= st.cost[Phase::Sort].io.pages_written);
 }
 
 /// The streaming operator pipes tuples while the worker is still joining.
