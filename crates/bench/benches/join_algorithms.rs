@@ -5,10 +5,10 @@
 //! S³J level shift.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pbsm::{pbsm_join, Dedup, PbsmConfig, TileScheme};
-use s3j::{s3j_join, S3jConfig};
-use sssj::{sssj_join, SssjConfig};
-use storage::SimDisk;
+use pbsm::{try_pbsm_join, Dedup, PbsmConfig, TileScheme};
+use s3j::{try_s3j_join, S3jConfig};
+use sssj::{try_sssj_join, SssjConfig};
+use storage::{RunControl, SimDisk};
 use sweep::InternalAlgo;
 
 fn datasets() -> (Vec<geom::Kpe>, Vec<geom::Kpe>) {
@@ -30,7 +30,9 @@ fn bench_algorithms(c: &mut Criterion) {
                 mem_bytes: mem,
                 ..Default::default()
             };
-            pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+            try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                .unwrap()
+                .results
         })
     });
     group.bench_function("pbsm_sort_phase", |b| {
@@ -41,7 +43,9 @@ fn bench_algorithms(c: &mut Criterion) {
                 dedup: Dedup::SortPhase,
                 ..Default::default()
             };
-            pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+            try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                .unwrap()
+                .results
         })
     });
     group.bench_function("s3j_replicated", |b| {
@@ -51,7 +55,9 @@ fn bench_algorithms(c: &mut Criterion) {
                 mem_bytes: mem,
                 ..Default::default()
             };
-            s3j_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+            try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                .unwrap()
+                .results
         })
     });
     group.bench_function("s3j_original", |b| {
@@ -62,7 +68,9 @@ fn bench_algorithms(c: &mut Criterion) {
                 replicate: false,
                 ..Default::default()
             };
-            s3j_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+            try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                .unwrap()
+                .results
         })
     });
     group.bench_function("sssj", |b| {
@@ -72,7 +80,9 @@ fn bench_algorithms(c: &mut Criterion) {
                 mem_bytes: mem,
                 ..Default::default()
             };
-            sssj_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+            try_sssj_join(&disk, &r, &s, &cfg, &mut |_, _| {})
+                .unwrap()
+                .results
         })
     });
     group.finish();
@@ -96,7 +106,9 @@ fn bench_ablations(c: &mut Criterion) {
                         tile_scheme: scheme,
                         ..Default::default()
                     };
-                    pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+                    try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                        .unwrap()
+                        .results
                 })
             },
         );
@@ -114,7 +126,9 @@ fn bench_ablations(c: &mut Criterion) {
                         safety_factor: t,
                         ..Default::default()
                     };
-                    pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+                    try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                        .unwrap()
+                        .results
                 })
             },
         );
@@ -132,7 +146,9 @@ fn bench_ablations(c: &mut Criterion) {
                         level_shift: shift,
                         ..Default::default()
                     };
-                    s3j_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+                    try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                        .unwrap()
+                        .results
                 })
             },
         );
@@ -150,7 +166,9 @@ fn bench_ablations(c: &mut Criterion) {
                         internal,
                         ..Default::default()
                     };
-                    pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {}).results
+                    try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
+                        .unwrap()
+                        .results
                 })
             },
         );

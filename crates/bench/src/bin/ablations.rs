@@ -9,13 +9,13 @@
 //! * S³J heap-merge scan vs naive level-pair scan (§4.4.3).
 
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
-use pbsm::{pbsm_join, Dedup, TileScheme};
-use s3j::{s3j_join, ScanMode};
+use pbsm::{try_pbsm_join, Dedup, TileScheme};
+use s3j::{try_s3j_join, ScanMode};
 use sfc::Curve;
-use storage::{Phase, SimDisk};
+use storage::{JoinError, Phase, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Ablations",
         "design-choice sweeps on J1 (and clustered data where noted)",
@@ -30,7 +30,7 @@ fn main() {
         let disk = SimDisk::with_default_model();
         let mut cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
         cfg.safety_factor = t;
-        let st = pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let st = try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})?;
         println!(
             "{:>6} {:>4} {:>13} {:>11.1}",
             t,
@@ -47,7 +47,7 @@ fn main() {
         let disk = SimDisk::with_default_model();
         let mut cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
         cfg.tiles_per_partition = k;
-        let st = pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let st = try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})?;
         println!(
             "{:>6} {:>8} {:>11.3} {:>11.1}",
             k,
@@ -69,7 +69,7 @@ fn main() {
         let disk = SimDisk::with_default_model();
         let mut cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
         cfg.tile_scheme = scheme;
-        let st = pbsm_join(&disk, &cr, &cs, &cfg, &mut |_, _| {});
+        let st = try_pbsm_join(&disk, &cr, &cs, &cfg, &RunControl::none(), &mut |_, _| {})?;
         println!(
             "{:>12} {:>13} {:>12} {:>11.1}",
             format!("{scheme:?}"),
@@ -89,7 +89,7 @@ fn main() {
         let disk = SimDisk::with_default_model();
         let mut cfg = s3j_cfg(mem, true);
         cfg.level_shift = shift;
-        let st = s3j_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let st = try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})?;
         println!(
             "{:>6} {:>11.3} {:>14} {:>11.1}",
             shift,
@@ -109,7 +109,7 @@ fn main() {
         let disk = SimDisk::with_default_model();
         let mut cfg = s3j_cfg(mem, true);
         cfg.curve = curve;
-        let st = s3j_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let st = try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})?;
         println!(
             "{:>9} {:>12.0} {:>14} {:>12.2}",
             format!("{curve:?}"),
@@ -126,7 +126,7 @@ fn main() {
         let disk = SimDisk::with_default_model();
         let mut cfg = s3j_cfg(mem, true);
         cfg.scan = mode;
-        let st = s3j_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let st = try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})?;
         println!(
             "{:>11} {:>14.0} {:>11.1}",
             format!("{mode:?}"),
@@ -134,4 +134,5 @@ fn main() {
             st.cost.total_seconds()
         );
     }
+    Ok(())
 }

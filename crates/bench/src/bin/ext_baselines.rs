@@ -10,15 +10,15 @@
 use std::time::Instant;
 
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
-use pbsm::{pbsm_join, Dedup};
-use rtree::{paged_rtree_join, rtree_join, RTree};
-use s3j::s3j_join;
-use shj::{shj_join, ShjConfig};
-use sssj::{sssj_join, SssjConfig};
-use storage::{BufferPool, DiskModel, SimDisk};
+use pbsm::{try_pbsm_join, Dedup};
+use rtree::{rtree_join, try_paged_rtree_join, RTree};
+use s3j::try_s3j_join;
+use shj::{try_shj_join, ShjConfig};
+use sssj::{try_sssj_join, SssjConfig};
+use storage::{BufferPool, DiskModel, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner(
         "Extension: baselines",
         "J1 across index classes: R-tree join vs PBSM/S3J/SSSJ",
@@ -45,15 +45,15 @@ fn main() {
     // The honest variant: both trees on disk, traversed through small
     // buffer pools, I/O charged under the cost model.
     let disk = SimDisk::with_default_model();
-    let pr = tr.to_paged(&disk);
-    let psd = ts.to_paged(&disk);
+    let pr = tr.try_to_paged(&disk)?;
+    let psd = ts.try_to_paged(&disk)?;
     disk.reset_stats();
     let pool_pages = (mem / disk.model().page_size / 2).max(2);
     let mut pool_r = BufferPool::new(&disk, pool_pages);
     let mut pool_s = BufferPool::new(&disk, pool_pages);
     let t2 = Instant::now();
     let mut n2 = 0u64;
-    paged_rtree_join(&pr, &psd, &mut pool_r, &mut pool_s, &mut |_, _| n2 += 1);
+    try_paged_rtree_join(&pr, &psd, &mut pool_r, &mut pool_s, &mut |_, _| n2 += 1)?;
     let paged_secs = model.scaled_cpu(t2.elapsed().as_secs_f64()) + disk.io_seconds();
     assert_eq!(n, n2);
     println!(
@@ -62,13 +62,14 @@ fn main() {
     );
 
     let disk = SimDisk::with_default_model();
-    let st = pbsm_join(
+    let st = try_pbsm_join(
         &disk,
         &r,
         &s,
         &pbsm_cfg(mem, InternalAlgo::PlaneSweepTrie, Dedup::ReferencePoint),
+        &RunControl::none(),
         &mut |_, _| {},
-    );
+    )?;
     println!(
         "{:<26} {:>10} {:>12.1}",
         "PBSM (trie, RPM)",
@@ -77,7 +78,14 @@ fn main() {
     );
 
     let disk = SimDisk::with_default_model();
-    let st = s3j_join(&disk, &r, &s, &s3j_cfg(mem, true), &mut |_, _| {});
+    let st = try_s3j_join(
+        &disk,
+        &r,
+        &s,
+        &s3j_cfg(mem, true),
+        &RunControl::none(),
+        &mut |_, _| {},
+    )?;
     println!(
         "{:<26} {:>10} {:>12.1}",
         "S3J (replicated)",
@@ -86,7 +94,7 @@ fn main() {
     );
 
     let disk = SimDisk::with_default_model();
-    let st = sssj_join(
+    let st = try_sssj_join(
         &disk,
         &r,
         &s,
@@ -95,11 +103,11 @@ fn main() {
             ..Default::default()
         },
         &mut |_, _| {},
-    );
+    )?;
     println!("{:<26} {:>10} {:>12.1}", "SSSJ", st.results, st.cost.total_seconds());
 
     let disk = SimDisk::with_default_model();
-    let st = shj_join(
+    let st = try_shj_join(
         &disk,
         &r,
         &s,
@@ -108,7 +116,7 @@ fn main() {
             ..Default::default()
         },
         &mut |_, _| {},
-    );
+    )?;
     println!(
         "{:<26} {:>10} {:>12.1}",
         "SHJ (spatial hash join)",
@@ -121,4 +129,5 @@ fn main() {
         "(STR bulk-building both R-trees costs {build_secs:.1}s of CPU alone — \
          the price the no-index algorithms avoid)"
     );
+    Ok(())
 }

@@ -6,13 +6,13 @@
 //! data and (b) an artificial diagonal dataset of the same cardinality.
 
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
-use pbsm::{pbsm_join, Dedup};
-use s3j::s3j_join;
-use sssj::{sssj_join, SssjConfig};
-use storage::SimDisk;
+use pbsm::{try_pbsm_join, Dedup};
+use s3j::try_s3j_join;
+use sssj::{try_sssj_join, SssjConfig};
+use storage::{JoinError, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
+fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) -> Result<(), JoinError> {
     println!("-- {label}: {} x {} MBRs", r.len(), s.len());
     println!(
         "{:<14} {:>10} {:>11} {:>11}",
@@ -20,15 +20,16 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
     );
     let pbsm_run = |internal: InternalAlgo| {
         let disk = SimDisk::with_default_model();
-        pbsm_join(
+        try_pbsm_join(
             &disk,
             r,
             s,
             &pbsm_cfg(mem, internal, Dedup::ReferencePoint),
+            &RunControl::none(),
             &mut |_, _| {},
         )
     };
-    let list = pbsm_run(InternalAlgo::PlaneSweepList);
+    let list = pbsm_run(InternalAlgo::PlaneSweepList)?;
     println!(
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "PBSM(list)",
@@ -36,7 +37,7 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
         list.cost.scaled_cpu_seconds(),
         list.cost.total_seconds()
     );
-    let trie = pbsm_run(InternalAlgo::PlaneSweepTrie);
+    let trie = pbsm_run(InternalAlgo::PlaneSweepTrie)?;
     println!(
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "PBSM(trie)",
@@ -45,7 +46,8 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
         trie.cost.total_seconds()
     );
     let disk = SimDisk::with_default_model();
-    let s3 = s3j_join(&disk, r, s, &s3j_cfg(mem, true), &mut |_, _| {});
+    let cfg = s3j_cfg(mem, true);
+    let s3 = try_s3j_join(&disk, r, s, &cfg, &RunControl::none(), &mut |_, _| {})?;
     println!(
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "S3J(repl)",
@@ -54,7 +56,7 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
         s3.cost.total_seconds()
     );
     let disk = SimDisk::with_default_model();
-    let sw = sssj_join(
+    let sw = try_sssj_join(
         &disk,
         r,
         s,
@@ -63,7 +65,7 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
             ..Default::default()
         },
         &mut |_, _| {},
-    );
+    )?;
     println!(
         "{:<14} {:>10} {:>11.1} {:>11.1}",
         "SSSJ",
@@ -73,9 +75,10 @@ fn run_all(label: &str, r: &[geom::Kpe], s: &[geom::Kpe], mem: usize) {
     );
     assert!(list.results == trie.results && trie.results == s3.results && s3.results == sw.results);
     println!();
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Extension: skew",
         "real-like vs artificial highly-skewed (diagonal) data",
@@ -84,9 +87,9 @@ fn main() {
     );
     let mem = paper_mem(2.5);
     let (r, s) = join_inputs(1);
-    run_all("TIGER-like (J1)", &r, &s, mem);
+    run_all("TIGER-like (J1)", &r, &s, mem)?;
 
     let dr = datagen::diagonal(r.len(), 0.002, 0.0015, 91);
     let ds = datagen::diagonal(s.len(), 0.002, 0.0015, 92);
-    run_all("diagonal (skewed)", &dr, &ds, mem);
+    run_all("diagonal (skewed)", &dr, &ds, mem)
 }

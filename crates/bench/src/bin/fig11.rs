@@ -2,10 +2,10 @@
 //! and total runtime (right) as functions of available memory.
 
 use bench::{banner, cal_st, median_run, paper_mem, s3j_cfg};
-use s3j::s3j_join;
-use storage::SimDisk;
+use s3j::try_s3j_join;
+use storage::{JoinError, RunControl, SimDisk};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 11",
         "S3J original vs replicated, CPU and total time, J5",
@@ -23,13 +23,14 @@ fn main() {
             median_run(
                 || {
                     let disk = SimDisk::with_default_model();
-                    s3j_join(&disk, cal, cal, &s3j_cfg(mem, replicate), &mut |_, _| {})
+                    let cfg = s3j_cfg(mem, replicate);
+                    try_s3j_join(&disk, cal, cal, &cfg, &RunControl::none(), &mut |_, _| {})
                 },
                 |st| st.cost.total_seconds(),
             )
         };
-        let orig = run(false);
-        let repl = run(true);
+        let orig = run(false)?;
+        let repl = run(true)?;
         assert_eq!(orig.results, repl.results);
         println!(
             "{:<10} | {:>11.1} {:>11.1} {:>6.1} | {:>11.1} {:>11.1} {:>6.1}",
@@ -42,4 +43,5 @@ fn main() {
             orig.cost.total_seconds() / repl.cost.total_seconds()
         );
     }
+    Ok(())
 }

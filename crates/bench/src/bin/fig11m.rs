@@ -9,10 +9,10 @@
 //! levels, and replication pays off by the paper's full margin.
 
 use bench::{banner, scale};
-use s3j::s3j_join;
-use storage::{Phase, SimDisk};
+use s3j::try_s3j_join;
+use storage::{JoinError, Phase, RunControl, SimDisk};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 11 (supplement)",
         "S3J original vs replicated on grid-aligned (Manhattan) data",
@@ -33,7 +33,14 @@ fn main() {
             replicate,
             ..Default::default()
         };
-        let st = s3j_join(&disk, &data, &data, &cfg, &mut |_, _| {});
+        let st = try_s3j_join(
+            &disk,
+            &data,
+            &data,
+            &cfg,
+            &RunControl::none(),
+            &mut |_, _| {},
+        )?;
         let coarse: u64 = st.histogram_r[0..6].iter().sum();
         println!(
             "{:<10} | {:>12.1} {:>12.1} {:>14} | {:>11.2} | {} of {}",
@@ -46,4 +53,5 @@ fn main() {
             data.len()
         );
     }
+    Ok(())
 }

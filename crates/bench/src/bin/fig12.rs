@@ -3,11 +3,11 @@
 //! from the plot for being far worse).
 
 use bench::{banner, cal_st, median_run, paper_mem, s3j_cfg};
-use s3j::s3j_join;
-use storage::SimDisk;
+use s3j::try_s3j_join;
+use storage::{JoinError, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 12",
         "S3J (replicated) with different internal algorithms, J5",
@@ -27,14 +27,14 @@ fn main() {
                     let disk = SimDisk::with_default_model();
                     let mut cfg = s3j_cfg(mem, true);
                     cfg.internal = internal;
-                    s3j_join(&disk, cal, cal, &cfg, &mut |_, _| {})
+                    try_s3j_join(&disk, cal, cal, &cfg, &RunControl::none(), &mut |_, _| {})
                 },
                 |st| st.cost.total_seconds(),
             )
         };
-        let nested = run(InternalAlgo::NestedLoops);
-        let sweep = run(InternalAlgo::PlaneSweepList);
-        let trie = run(InternalAlgo::PlaneSweepTrie);
+        let nested = run(InternalAlgo::NestedLoops)?;
+        let sweep = run(InternalAlgo::PlaneSweepList)?;
+        let trie = run(InternalAlgo::PlaneSweepTrie)?;
         assert_eq!(nested.results, sweep.results);
         assert_eq!(nested.results, trie.results);
         println!(
@@ -45,4 +45,5 @@ fn main() {
             trie.cost.total_seconds()
         );
     }
+    Ok(())
 }

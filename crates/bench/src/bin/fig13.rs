@@ -3,12 +3,12 @@
 //! replication and everyone's result size) grows with p².
 
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
-use pbsm::{pbsm_join, Dedup};
-use s3j::s3j_join;
-use storage::SimDisk;
+use pbsm::{try_pbsm_join, Dedup};
+use s3j::try_s3j_join;
+use storage::{JoinError, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 13",
         "S3J vs PBSM(list) vs PBSM(trie) on LA_RR(p) x LA_ST(p), M=2.5MB",
@@ -24,20 +24,22 @@ fn main() {
         let (r, s) = join_inputs(p);
         let s3 = {
             let disk = SimDisk::with_default_model();
-            s3j_join(&disk, &r, &s, &s3j_cfg(mem, true), &mut |_, _| {})
+            let cfg = s3j_cfg(mem, true);
+            try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})?
         };
         let run_pbsm = |internal: InternalAlgo| {
             let disk = SimDisk::with_default_model();
-            pbsm_join(
+            try_pbsm_join(
                 &disk,
                 &r,
                 &s,
                 &pbsm_cfg(mem, internal, Dedup::ReferencePoint),
+                &RunControl::none(),
                 &mut |_, _| {},
             )
         };
-        let list = run_pbsm(InternalAlgo::PlaneSweepList);
-        let trie = run_pbsm(InternalAlgo::PlaneSweepTrie);
+        let list = run_pbsm(InternalAlgo::PlaneSweepList)?;
+        let trie = run_pbsm(InternalAlgo::PlaneSweepTrie)?;
         assert_eq!(s3.results, list.results);
         assert_eq!(s3.results, trie.results);
         println!(
@@ -50,4 +52,5 @@ fn main() {
             list.replication_rate(r.len() + s.len())
         );
     }
+    Ok(())
 }

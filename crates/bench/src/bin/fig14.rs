@@ -2,12 +2,12 @@
 //! J5 as a function of available memory.
 
 use bench::{banner, cal_st, median_run, paper_mem, pbsm_cfg, s3j_cfg};
-use pbsm::{pbsm_join, Dedup};
-use s3j::s3j_join;
-use storage::SimDisk;
+use pbsm::{try_pbsm_join, Dedup};
+use s3j::try_s3j_join;
+use storage::{JoinError, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 14",
         "S3J vs PBSM(list) vs PBSM(trie) on J5 vs available memory",
@@ -24,27 +24,29 @@ fn main() {
         let s3 = median_run(
             || {
                 let disk = SimDisk::with_default_model();
-                s3j_join(&disk, cal, cal, &s3j_cfg(mem, true), &mut |_, _| {})
+                let cfg = s3j_cfg(mem, true);
+                try_s3j_join(&disk, cal, cal, &cfg, &RunControl::none(), &mut |_, _| {})
             },
             |st| st.cost.total_seconds(),
-        );
+        )?;
         let run_pbsm = |internal: InternalAlgo| {
             median_run(
                 || {
                     let disk = SimDisk::with_default_model();
-                    pbsm_join(
+                    try_pbsm_join(
                         &disk,
                         cal,
                         cal,
                         &pbsm_cfg(mem, internal, Dedup::ReferencePoint),
+                        &RunControl::none(),
                         &mut |_, _| {},
                     )
                 },
                 |st| st.cost.total_seconds(),
             )
         };
-        let list = run_pbsm(InternalAlgo::PlaneSweepList);
-        let trie = run_pbsm(InternalAlgo::PlaneSweepTrie);
+        let list = run_pbsm(InternalAlgo::PlaneSweepList)?;
+        let trie = run_pbsm(InternalAlgo::PlaneSweepTrie)?;
         assert_eq!(s3.results, list.results);
         println!(
             "{:<10} | {:>11.1} {:>12.1} {:>12.1}",
@@ -54,4 +56,5 @@ fn main() {
             trie.cost.total_seconds()
         );
     }
+    Ok(())
 }

@@ -6,11 +6,11 @@
 //! 3b: total runtime, PD vs RP.
 
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg};
-use pbsm::{pbsm_join, Dedup};
-use storage::{Phase, SimDisk};
+use pbsm::{try_pbsm_join, Dedup};
+use storage::{JoinError, Phase, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 3",
         "PBSM: sort-phase dedup (PD) vs Reference Point Method (RP), J1-J4, M=2.5MB",
@@ -27,10 +27,10 @@ fn main() {
         let run = |dedup: Dedup| {
             let disk = SimDisk::with_default_model();
             let cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, dedup);
-            pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {})
+            try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {})
         };
-        let pd = run(Dedup::SortPhase);
-        let rp = run(Dedup::ReferencePoint);
+        let pd = run(Dedup::SortPhase)?;
+        let rp = run(Dedup::ReferencePoint)?;
         assert_eq!(pd.results, rp.results, "dedup strategies disagree");
         let base_io = rp.cost.model.units(
             &rp.cost[Phase::Partition]
@@ -51,4 +51,5 @@ fn main() {
             rp.cost.total_seconds()
         );
     }
+    Ok(())
 }

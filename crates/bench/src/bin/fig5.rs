@@ -2,11 +2,11 @@
 //! sweep-line status as a list vs as an interval trie.
 
 use bench::{banner, cal_st, median_run, paper_mem, pbsm_cfg};
-use pbsm::{pbsm_join, Dedup};
-use storage::SimDisk;
+use pbsm::{try_pbsm_join, Dedup};
+use storage::{JoinError, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 5",
         "PBSM runtime on J5 vs available memory, list vs trie status",
@@ -25,13 +25,13 @@ fn main() {
                 || {
                     let disk = SimDisk::with_default_model();
                     let cfg = pbsm_cfg(mem, internal, Dedup::ReferencePoint);
-                    pbsm_join(&disk, cal, cal, &cfg, &mut |_, _| {})
+                    try_pbsm_join(&disk, cal, cal, &cfg, &RunControl::none(), &mut |_, _| {})
                 },
                 |st| st.cost.total_seconds(),
             )
         };
-        let list = run(InternalAlgo::PlaneSweepList);
-        let trie = run(InternalAlgo::PlaneSweepTrie);
+        let list = run(InternalAlgo::PlaneSweepList)?;
+        let trie = run(InternalAlgo::PlaneSweepTrie)?;
         assert_eq!(list.results, trie.results);
         println!(
             "{:<10} {:>5} | {:>12.1} {:>12.1} | {:>11.1} {:>11.1} | {:>10.1} {:>10.1}",
@@ -45,4 +45,5 @@ fn main() {
             trie.cost.io_seconds()
         );
     }
+    Ok(())
 }

@@ -2,11 +2,11 @@
 //! a function of available memory.
 
 use bench::{banner, cal_st, paper_mem, pbsm_cfg};
-use pbsm::{pbsm_join, Dedup};
-use storage::{Phase, SimDisk};
+use pbsm::{try_pbsm_join, Dedup};
+use storage::{JoinError, Phase, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Figure 6",
         "fraction of PBSM total runtime spent repartitioning, J5",
@@ -21,7 +21,7 @@ fn main() {
         let mem = paper_mem(mb);
         let disk = SimDisk::with_default_model();
         let cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
-        let st = pbsm_join(&disk, cal, cal, &cfg, &mut |_, _| {});
+        let st = try_pbsm_join(&disk, cal, cal, &cfg, &RunControl::none(), &mut |_, _| {})?;
         let repart_secs = st.cost.phase_seconds(Phase::Repartition);
         println!(
             "{:<10} {:>5} | {:>12} {:>12.1} {:>12.1}",
@@ -32,4 +32,5 @@ fn main() {
             100.0 * st.repart_fraction()
         );
     }
+    Ok(())
 }

@@ -118,7 +118,8 @@ fn run_point(join: &'static str, algo: &'static str, base: &Algorithm, r: &[geom
         for threads in [1usize, 4] {
             let (_, st) = SpatialJoin::new(base.clone().with_threads(threads))
                 .with_disk_model(model)
-                .count(r, s);
+                .try_count(r, s)
+                .map_err(|e| format!("{join}/{algo} threads={threads} channels={channels}: {e}"))?;
             // The load-bearing invariant: the export reconciles before any
             // number reaches the report — including the per-channel leg.
             let report = st.metrics_report(algo, threads);

@@ -26,9 +26,9 @@
 use std::time::Instant;
 
 use bench::{la_rr, la_st, paper_mem, pbsm_cfg, s3j_cfg, scale};
-use pbsm::{pbsm_join, Dedup};
-use s3j::s3j_join;
-use storage::{DiskModel, Phase, SimDisk};
+use pbsm::{try_pbsm_join, Dedup};
+use s3j::try_s3j_join;
+use storage::{DiskModel, JoinError, Phase, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
@@ -48,7 +48,7 @@ struct Point {
     results: u64,
 }
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let r = la_rr();
     let s = la_st();
     // Tighter budget than the paper's usual 5 MB so PBSM forms enough
@@ -79,14 +79,14 @@ fn main() {
                 cfg.threads = threads;
                 let disk = disk(channels);
                 let t0 = Instant::now();
-                let st = pbsm_join(&disk, r, s, &cfg, &mut |_, _| {});
-                Point {
+                let st = try_pbsm_join(&disk, r, s, &cfg, &RunControl::none(), &mut |_, _| {})?;
+                Ok(Point {
                     join_phase_s: st.cost[Phase::Join].cpu,
                     total_model_s: st.cost.total_seconds(),
                     wall_s: t0.elapsed().as_secs_f64(),
                     results: st.results,
-                }
-            }) as Box<dyn Fn(usize, usize) -> Point>,
+                })
+            }) as Box<dyn Fn(usize, usize) -> Result<Point, JoinError>>,
         ),
         (
             "s3j",
@@ -95,20 +95,20 @@ fn main() {
                 cfg.threads = threads;
                 let disk = disk(channels);
                 let t0 = Instant::now();
-                let st = s3j_join(&disk, r, s, &cfg, &mut |_, _| {});
-                Point {
+                let st = try_s3j_join(&disk, r, s, &cfg, &RunControl::none(), &mut |_, _| {})?;
+                Ok(Point {
                     join_phase_s: st.cost[Phase::Join].cpu,
                     total_model_s: st.cost.total_seconds(),
                     wall_s: t0.elapsed().as_secs_f64(),
                     results: st.results,
-                }
+                })
             }),
         ),
     ] {
         let mut base: Option<Point> = None;
         for channels in CHANNEL_POINTS {
             for threads in THREAD_POINTS {
-                let p = run(threads, channels);
+                let p = run(threads, channels)?;
                 let baseline = base.as_ref().unwrap_or(&p);
                 let speedup = baseline.join_phase_s / p.join_phase_s.max(1e-12);
                 let model_speedup = baseline.total_model_s / p.total_model_s.max(1e-12);
@@ -134,4 +134,5 @@ fn main() {
             }
         }
     }
+    Ok(())
 }

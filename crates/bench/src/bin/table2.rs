@@ -1,9 +1,9 @@
 //! Table 2: the joins J1–J5 — result counts and selectivity.
 
 use bench::{banner, cal_st, join_inputs, paper_mem};
-use spatialjoin::{Algorithm, SpatialJoin};
+use spatialjoin::{Algorithm, JoinError, SpatialJoin};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Table 2",
         "the spatial joins of the experiments",
@@ -17,7 +17,7 @@ fn main() {
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(paper_mem(16.0)));
     for p in 1..=4u32 {
         let (r, s) = join_inputs(p);
-        let (n, _) = join.count(&r, &s);
+        let (n, _) = join.try_count(&r, &s)?;
         let sel = n as f64 / (r.len() as f64 * s.len() as f64);
         println!(
             "{:<6} {:<22} {:>12} {:>14.2e}",
@@ -29,7 +29,7 @@ fn main() {
     }
     let cal = cal_st();
     let join5 = SpatialJoin::new(Algorithm::pbsm_rpm(paper_mem(40.0)));
-    let (n, _) = join5.count(cal, cal);
+    let (n, _) = join5.try_count(cal, cal)?;
     let sel = n as f64 / (cal.len() as f64 * cal.len() as f64);
     println!(
         "{:<6} {:<22} {:>12} {:>14.2e}",
@@ -38,4 +38,5 @@ fn main() {
         n,
         sel
     );
+    Ok(())
 }

@@ -4,12 +4,12 @@
 
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
 use geom::Kpe;
-use pbsm::{pbsm_join, Dedup};
-use s3j::s3j_join;
-use storage::{Phase, SimDisk};
+use pbsm::{try_pbsm_join, Dedup};
+use s3j::try_s3j_join;
+use storage::{JoinError, Phase, RunControl, SimDisk};
 use sweep::InternalAlgo;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     banner(
         "Table 3",
         "minimum I/O passes per phase (measured bytes / replicated input bytes)",
@@ -21,13 +21,14 @@ fn main() {
     let mem = paper_mem(2.5);
 
     let disk = SimDisk::with_default_model();
-    let p = pbsm_join(
+    let p = try_pbsm_join(
         &disk,
         &r,
         &s,
         &pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint),
+        &RunControl::none(),
         &mut |_, _| {},
-    );
+    )?;
     let pbsm_base = ((p.copies_r + p.copies_s) * Kpe::ENCODED_SIZE as u64) as f64;
     println!("PBSM (passes over its replicated input, {:.1} MB):", pbsm_base / 1048576.0);
     println!(
@@ -48,7 +49,14 @@ fn main() {
     );
 
     let disk = SimDisk::with_default_model();
-    let q = s3j_join(&disk, &r, &s, &s3j_cfg(mem, true), &mut |_, _| {});
+    let q = try_s3j_join(
+        &disk,
+        &r,
+        &s,
+        &s3j_cfg(mem, true),
+        &RunControl::none(),
+        &mut |_, _| {},
+    )?;
     let s3j_base = ((q.copies_r + q.copies_s) * 48) as f64; // LevelRecord
     println!();
     println!("S3J (passes over its level files, {:.1} MB):", s3j_base / 1048576.0);
@@ -69,4 +77,5 @@ fn main() {
         q.cost[Phase::Join].io.bytes_written as f64 / s3j_base,
         q.cost[Phase::Join].io.bytes_read as f64 / s3j_base
     );
+    Ok(())
 }

@@ -116,16 +116,17 @@ pub fn repeats() -> usize {
 }
 
 /// Runs `f` [`repeats`] times and returns the run with the median
-/// total-seconds value according to `key`.
-pub fn median_run<T, F, K>(mut f: F, key: K) -> T
+/// total-seconds value according to `key`; the first failed run ends the
+/// loop with its error.
+pub fn median_run<T, E, F, K>(mut f: F, key: K) -> Result<T, E>
 where
-    F: FnMut() -> T,
+    F: FnMut() -> Result<T, E>,
     K: Fn(&T) -> f64,
 {
-    let mut runs: Vec<T> = (0..repeats()).map(|_| f()).collect();
+    let mut runs = (0..repeats()).map(|_| f()).collect::<Result<Vec<T>, E>>()?;
     runs.sort_by(|a, b| key(a).total_cmp(&key(b)));
     let mid = runs.len() / 2;
-    runs.swap_remove(mid)
+    Ok(runs.swap_remove(mid))
 }
 
 /// Prints the standard experiment banner.
@@ -155,7 +156,7 @@ mod tests {
     fn median_run_picks_the_middle() {
         std::env::set_var("SJ_REPEAT", "3");
         let mut vals = [30.0, 10.0, 20.0].into_iter();
-        let got = median_run(|| vals.next().unwrap(), |v| *v);
+        let got = median_run(|| Ok::<_, ()>(vals.next().unwrap()), |v| *v).unwrap();
         assert_eq!(got, 20.0);
         std::env::remove_var("SJ_REPEAT");
     }

@@ -952,9 +952,9 @@ mod tests {
         // 41: a sound snapshot with one spare file.
         let disk = SimDisk::with_default_model();
         let f = disk.create_on(3);
-        disk.append(f, &[7u8; 100]);
+        disk.try_append(f, &[7u8; 100]).unwrap();
         let spare = disk.create_spare_like(f);
-        disk.append(spare, &[8u8; 10]);
+        disk.try_append(spare, &[8u8; 10]).unwrap();
         std::fs::write(base.join("41").join("state.bin"), disk.export_files()).expect("write");
         // 42: a truncated snapshot. 43: no state.bin at all.
         std::fs::write(base.join("42").join("state.bin"), b"SJDKgarbage").expect("write");

@@ -13,13 +13,14 @@
 //! ```
 //! use spatialjoin::{Algorithm, SpatialJoin};
 //!
+//! # fn main() -> Result<(), spatialjoin::JoinError> {
 //! // Two TIGER-like synthetic datasets (1% of the paper's LA files).
 //! let roads  = spatialjoin::datagen::sized(&spatialjoin::datagen::la_rr_config(1), 0.01).generate();
 //! let rivers = spatialjoin::datagen::sized(&spatialjoin::datagen::la_st_config(1), 0.01).generate();
 //!
 //! // PBSM with the Reference Point Method and 256 KiB of memory.
 //! let join = SpatialJoin::new(Algorithm::pbsm_rpm(256 * 1024));
-//! let run = join.run(&roads, &rivers);
+//! let run = join.try_run(&roads, &rivers)?;
 //!
 //! println!(
 //!     "{} intersecting pairs in {:.3}s simulated ({} duplicates suppressed online)",
@@ -28,6 +29,8 @@
 //!     run.stats.duplicates(),
 //! );
 //! # assert!(run.pairs.len() > 0);
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! ## Crate map
@@ -543,7 +546,7 @@ pub struct SpatialJoin {
     recorder: Option<Arc<Recorder>>,
 }
 
-/// Result of [`SpatialJoin::run`]: materialised pairs plus statistics.
+/// Result of [`SpatialJoin::try_run`]: materialised pairs plus statistics.
 #[derive(Debug)]
 pub struct JoinRun {
     pub pairs: Vec<(RecordId, RecordId)>,
@@ -651,75 +654,45 @@ impl SpatialJoin {
     ///
     /// A request that exhausts its retry budget and every degradation path
     /// surfaces as a typed [`JoinError`]; without a fault plan this never
-    /// happens.
+    /// happens. A refused configuration (a fault plan, cancellation or a
+    /// deadline on a baseline; a zero memory budget for PBSM or SHJ) fails
+    /// in phase `setup` before any I/O.
     pub fn try_run_with(
         &self,
         r: &[Kpe],
         s: &[Kpe],
         out: &mut dyn FnMut(RecordId, RecordId),
     ) -> Result<JoinStats, JoinError> {
-        match &self.algorithm {
-            Algorithm::Pbsm(cfg) => {
-                pbsm::try_pbsm_join_ctl(&self.make_disk(), r, s, cfg, &self.control(), out)
-                    .map(JoinStats::Pbsm)
-            }
-            Algorithm::S3j(cfg) => {
-                s3j::try_s3j_join_ctl(&self.make_disk(), r, s, cfg, &self.control(), out)
-                    .map(JoinStats::S3j)
-            }
-            // The single-sweep baselines and the in-memory quadtree have no
-            // fallible code path and do not poll cancellation; refuse the
-            // combination up front rather than panicking mid-join or
-            // silently ignoring a deadline.
-            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_)
-                if self.fault_plan.is_some() || self.interruptible() =>
-            {
-                Err(JoinError::new("setup", IoError::unsupported()))
-            }
-            Algorithm::Sssj(cfg) => Ok(JoinStats::Sssj(sssj::sssj_join(
-                &self.make_disk(),
-                r,
-                s,
-                cfg,
-                out,
-            ))),
-            Algorithm::Shj(cfg) => Ok(JoinStats::Shj(shj::shj_join(
-                &self.make_disk(),
-                r,
-                s,
-                cfg,
-                out,
-            ))),
-            // The quadtree variant holds both relations' trees in memory at
-            // once; enforcing the budget honestly keeps it comparable to the
-            // external algorithms (and keeps the planner from "winning" with
-            // an algorithm that could not actually run in the given budget).
-            Algorithm::Quadtree(cfg) => {
-                let input_bytes = (r.len() + s.len()) * Kpe::ENCODED_SIZE;
-                if input_bytes > cfg.mem_bytes {
-                    return Err(JoinError::new("setup", IoError::unsupported()));
-                }
-                let mut cost = RunCost::new(self.disk_model, &[Phase::Build, Phase::Join]);
-                let t0 = Instant::now();
-                let tr = quadtree::MxCifQuadtree::bulk(r, cfg.max_level);
-                let ts = quadtree::MxCifQuadtree::bulk(s, cfg.max_level);
-                cost[Phase::Build].cpu = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let mut results = 0u64;
-                let tests = tr.join(&ts, &mut |a, b| {
-                    results += 1;
-                    out(a.id, b.id);
-                });
-                cost[Phase::Join].cpu = t1.elapsed().as_secs_f64();
-                Ok(JoinStats::Quadtree(QuadtreeStats {
-                    results,
-                    tests,
-                    nodes_r: tr.node_count() as u64,
-                    nodes_s: ts.node_count() as u64,
-                    cost,
-                }))
-            }
+        // The single-sweep baselines and the in-memory quadtree do not poll
+        // cancellation and have no degradation path; refuse the combination
+        // up front rather than failing mid-join or silently ignoring a
+        // deadline.
+        let baseline = self.algo_tag().is_none();
+        if baseline && (self.fault_plan.is_some() || self.interruptible()) {
+            return Err(JoinError::new("setup", IoError::unsupported()));
         }
+        self.dispatch(&self.make_disk(), r, s, &self.control(), out)
+    }
+
+    /// The one dispatch over the five join families, shared by the plain and
+    /// the durable entry points.
+    fn dispatch(
+        &self,
+        disk: &SimDisk,
+        r: &[Kpe],
+        s: &[Kpe],
+        ctl: &RunControl,
+        out: &mut dyn FnMut(RecordId, RecordId),
+    ) -> Result<JoinStats, JoinError> {
+        Ok(match &self.algorithm {
+            Algorithm::Pbsm(cfg) => {
+                JoinStats::Pbsm(pbsm::try_pbsm_join(disk, r, s, cfg, ctl, out)?)
+            }
+            Algorithm::S3j(cfg) => JoinStats::S3j(s3j::try_s3j_join(disk, r, s, cfg, ctl, out)?),
+            Algorithm::Sssj(cfg) => JoinStats::Sssj(sssj::try_sssj_join(disk, r, s, cfg, out)?),
+            Algorithm::Shj(cfg) => JoinStats::Shj(shj::try_shj_join(disk, r, s, cfg, out)?),
+            Algorithm::Quadtree(cfg) => JoinStats::Quadtree(quadtree_join(disk, r, s, cfg, out)?),
+        })
     }
 
     /// Runs the join and materialises all result pairs.
@@ -729,23 +702,11 @@ impl SpatialJoin {
         Ok(JoinRun { pairs, stats })
     }
 
-    /// Infallible [`SpatialJoin::try_run`] for fault-free configurations.
-    pub fn run(&self, r: &[Kpe], s: &[Kpe]) -> JoinRun {
-        self.try_run(r, s)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
     /// Runs the join, counting results without materialising them.
     pub fn try_count(&self, r: &[Kpe], s: &[Kpe]) -> Result<(u64, JoinStats), JoinError> {
         let mut n = 0u64;
         let stats = self.try_run_with(r, s, &mut |_, _| n += 1)?;
         Ok((n, stats))
-    }
-
-    /// Infallible [`SpatialJoin::try_count`] for fault-free configurations.
-    pub fn count(&self, r: &[Kpe], s: &[Kpe]) -> (u64, JoinStats) {
-        self.try_count(r, s)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
     }
 
     /// Manifest algorithm tag of the checkpointable joins; `None` for the
@@ -844,19 +805,7 @@ impl SpatialJoin {
             debug_assert_eq!(created.raw(), 0, "superblock must be the disk's first file");
             RunCheckpoint::start(disk, created, run_id, fp, tag)
         };
-        let ctl = self.control().with_checkpoint(cp);
-        match &self.algorithm {
-            Algorithm::Pbsm(cfg) => {
-                pbsm::try_pbsm_join_ctl(disk, r, s, cfg, &ctl, out).map(JoinStats::Pbsm)
-            }
-            Algorithm::S3j(cfg) => {
-                s3j::try_s3j_join_ctl(disk, r, s, cfg, &ctl, out).map(JoinStats::S3j)
-            }
-            // `algo_tag` returned above for the baselines and the quadtree.
-            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => {
-                Err(JoinError::new("setup", IoError::unsupported()))
-            }
-        }
+        self.dispatch(disk, r, s, &self.control().with_checkpoint(cp), out)
     }
 
     /// Filter step + refinement step in one pipelined pass: every candidate
@@ -882,18 +831,6 @@ impl SpatialJoin {
         })
     }
 
-    /// Infallible [`SpatialJoin::try_run_refined`] for fault-free
-    /// configurations.
-    pub fn run_refined<R: refine::Refiner>(
-        &self,
-        r: &[Kpe],
-        s: &[Kpe],
-        refiner: R,
-    ) -> RefinedRun {
-        self.try_run_refined(r, s, refiner)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
     /// Exact-intersection refinement with the raster-interval pre-filter
     /// ([`refine::RasterFilter`]) in front of the exact geometry test.
     /// Results are bit-identical to the unfiltered run; only the
@@ -914,7 +851,8 @@ impl SpatialJoin {
     /// ε-distance join over exact line geometry (the similarity-join
     /// direction of the paper's future work, [KS 98]): the filter step runs
     /// this join over `ε/2`-expanded MBRs, the refinement step verifies
-    /// exact segment distance.
+    /// exact segment distance. A negative or NaN `eps` is refused with a
+    /// typed `setup` error ([`IoErrorKind::Unsupported`]).
     pub fn try_within_distance(
         &self,
         r: &datagen::LineDataset,
@@ -943,7 +881,9 @@ impl SpatialJoin {
         eps: f64,
         curve: Option<sfc::Curve>,
     ) -> Result<RefinedRun, JoinError> {
-        assert!(eps >= 0.0);
+        if eps.is_nan() || eps < 0.0 {
+            return Err(JoinError::new("setup", IoError::unsupported()));
+        }
         let expand = |data: &[Kpe]| -> Vec<Kpe> {
             data.iter()
                 .map(|k| Kpe::new(k.id, k.rect.expanded(eps / 2.0)))
@@ -968,18 +908,42 @@ impl SpatialJoin {
             ),
         }
     }
+}
 
-    /// Infallible [`SpatialJoin::try_within_distance`] for fault-free
-    /// configurations.
-    pub fn within_distance(
-        &self,
-        r: &datagen::LineDataset,
-        s: &datagen::LineDataset,
-        eps: f64,
-    ) -> RefinedRun {
-        self.try_within_distance(r, s, eps)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
+/// The in-memory MX-CIF quadtree join. It holds both relations' trees in
+/// memory at once; enforcing the budget honestly keeps it comparable to the
+/// external algorithms (and keeps the planner from "winning" with an
+/// algorithm that could not actually run in the given budget).
+fn quadtree_join(
+    disk: &SimDisk,
+    r: &[Kpe],
+    s: &[Kpe],
+    cfg: &QuadtreeConfig,
+    out: &mut dyn FnMut(RecordId, RecordId),
+) -> Result<QuadtreeStats, JoinError> {
+    let input_bytes = (r.len() + s.len()) * Kpe::ENCODED_SIZE;
+    if input_bytes > cfg.mem_bytes {
+        return Err(JoinError::new("setup", IoError::unsupported()));
     }
+    let mut cost = RunCost::new(disk.model(), &[Phase::Build, Phase::Join]);
+    let t0 = Instant::now();
+    let tr = quadtree::MxCifQuadtree::bulk(r, cfg.max_level);
+    let ts = quadtree::MxCifQuadtree::bulk(s, cfg.max_level);
+    cost[Phase::Build].cpu = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let mut results = 0u64;
+    let tests = tr.join(&ts, &mut |a, b| {
+        results += 1;
+        out(a.id, b.id);
+    });
+    cost[Phase::Join].cpu = t1.elapsed().as_secs_f64();
+    Ok(QuadtreeStats {
+        results,
+        tests,
+        nodes_r: tr.node_count() as u64,
+        nodes_s: ts.node_count() as u64,
+        cost,
+    })
 }
 
 /// Result of a combined filter + refinement run.
@@ -1019,7 +983,7 @@ mod tests {
         let mut reference: Option<Vec<(u64, u64)>> = None;
         for algo in algorithms {
             let name = algo.name();
-            let run = SpatialJoin::new(algo).run(&r, &s);
+            let run = SpatialJoin::new(algo).try_run(&r, &s).unwrap();
             let mut pairs: Vec<(u64, u64)> =
                 run.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
             pairs.sort_unstable();
@@ -1035,8 +999,8 @@ mod tests {
     fn count_matches_run() {
         let (r, s) = small_pair();
         let join = SpatialJoin::new(Algorithm::pbsm_rpm(64 * 1024));
-        let run = join.run(&r, &s);
-        let (n, stats) = join.count(&r, &s);
+        let run = join.try_run(&r, &s).unwrap();
+        let (n, stats) = join.try_count(&r, &s).unwrap();
         assert_eq!(n as usize, run.pairs.len());
         assert_eq!(stats.results(), run.stats.results());
     }
@@ -1055,10 +1019,12 @@ mod tests {
         let mem = 48 * 1024;
         let (_, st_slow) = SpatialJoin::new(Algorithm::pbsm_rpm(mem))
             .with_disk_model(slow)
-            .count(&r, &s);
+            .try_count(&r, &s)
+            .unwrap();
         let (_, st_fast) = SpatialJoin::new(Algorithm::pbsm_rpm(mem))
             .with_disk_model(fast)
-            .count(&r, &s);
+            .try_count(&r, &s)
+            .unwrap();
         assert!(st_slow.io_seconds() > st_fast.io_seconds() * 10.0);
         // Same work, same counters.
         assert_eq!(st_slow.io_total(), st_fast.io_total());
@@ -1068,7 +1034,7 @@ mod tests {
     fn recoverable_faults_do_not_change_results() {
         let (r, s) = small_pair();
         for algo in [Algorithm::pbsm_rpm(64 * 1024), Algorithm::s3j_replicated(64 * 1024)] {
-            let clean = SpatialJoin::new(algo.clone()).run(&r, &s);
+            let clean = SpatialJoin::new(algo.clone()).try_run(&r, &s).unwrap();
             let faulty = SpatialJoin::new(algo)
                 .with_faults(FaultPlan::recoverable(11))
                 .try_run(&r, &s)

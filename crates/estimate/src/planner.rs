@@ -275,8 +275,7 @@ fn bounding_box(data: &[Kpe]) -> Rect {
 
 /// Algorithm families the planner chooses between. Self-describing (no
 /// dependency on the algorithm crates' config types — those sit *above*
-/// this crate); `spatialjoin::Algorithm::from_choice` and
-/// `exec::JoinAlgorithm::from_choice` do the mapping.
+/// this crate); `spatialjoin::Algorithm::from_choice` does the mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanAlgo {
     /// PBSM with Reference Point dedup (the paper's improved PBSM).

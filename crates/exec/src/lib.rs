@@ -23,8 +23,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 use geom::{Kpe, Rect, RecordId};
-use pbsm::{try_pbsm_join_ctl, PbsmConfig, PbsmStats};
-use s3j::{try_s3j_join_ctl, S3jConfig, S3jStats};
+use pbsm::{try_pbsm_join, PbsmConfig, PbsmStats};
+use s3j::{try_s3j_join, S3jConfig, S3jStats};
 use storage::{
     AdmissionError, CancelToken, JoinError, MemoryArbiter, Recorder, RunControl, RunCost, SimDisk,
 };
@@ -176,49 +176,6 @@ impl OpStats {
 }
 
 impl JoinAlgorithm {
-    /// Materialises a planner-selected [`estimate::PlanChoice`] as a
-    /// streaming-operator configuration. Returns `None` for choices the
-    /// operator cannot stream (the SSSJ/SHJ baselines and the in-memory
-    /// quadtree) — callers that plan
-    /// for this operator should use
-    /// [`estimate::PlanSpace::Streamable`] so this never comes up.
-    pub fn from_choice(choice: &estimate::PlanChoice) -> Option<JoinAlgorithm> {
-        use estimate::PlanAlgo;
-        Some(match choice.algo {
-            PlanAlgo::PbsmRpm => JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                ..Default::default()
-            }),
-            PlanAlgo::PbsmSort => JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                dedup: pbsm::Dedup::SortPhase,
-                ..Default::default()
-            }),
-            PlanAlgo::S3jReplicated | PlanAlgo::S3jOriginal => JoinAlgorithm::S3j(S3jConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                level_buffer_pages: choice.buffer_pages,
-                replicate: choice.algo == PlanAlgo::S3jReplicated,
-                ..Default::default()
-            }),
-            PlanAlgo::TwoLayer => JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                dedup: pbsm::Dedup::TwoLayer,
-                ..Default::default()
-            }),
-            PlanAlgo::Sssj | PlanAlgo::Shj | PlanAlgo::Quadtree => return None,
-        })
-    }
-
     /// Sets the partition-join worker-thread knob of the wrapped config
     /// (`0` = all cores, `1` = sequential). The operator's output stream is
     /// identical for every value; only wall-clock changes.
@@ -428,12 +385,10 @@ where
                 };
                 match algorithm {
                     JoinAlgorithm::Pbsm(cfg) => {
-                        try_pbsm_join_ctl(&disk, &lhs, &rhs, &cfg, &ctl, &mut emit)
-                            .map(OpStats::Pbsm)
+                        try_pbsm_join(&disk, &lhs, &rhs, &cfg, &ctl, &mut emit).map(OpStats::Pbsm)
                     }
                     JoinAlgorithm::S3j(cfg) => {
-                        try_s3j_join_ctl(&disk, &lhs, &rhs, &cfg, &ctl, &mut emit)
-                            .map(OpStats::S3j)
+                        try_s3j_join(&disk, &lhs, &rhs, &cfg, &ctl, &mut emit).map(OpStats::S3j)
                     }
                 }
                 .map(|st| {

@@ -227,37 +227,21 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///   deterministic — outputs must not depend on which worker ran them.
 /// * `sink(task_idx, output)` observes outputs in order 0, 1, 2, ….
 ///
+/// Cooperative cancellation: each worker polls `cancel` before claiming its
+/// next task and stops claiming once the token trips. Tasks are claimed in
+/// index order, so the sink observes exactly the contiguous prefix of tasks
+/// claimed before the trip — a cancelled run's partial output is a clean
+/// prefix, never a gapped subset.
+///
 /// Returns every worker's final state (indexed by worker), for the caller
 /// to merge deterministically. Panics in `task` propagate.
-pub fn run_ordered<S, T, FInit, FTask, FSink>(
-    threads: usize,
-    n_tasks: usize,
-    init: FInit,
-    task: FTask,
-    sink: FSink,
-) -> Vec<S>
-where
-    S: Send,
-    T: Send,
-    FInit: Fn(usize) -> S + Sync,
-    FTask: Fn(&mut S, usize) -> T + Sync,
-    FSink: FnMut(usize, T),
-{
-    run_ordered_with(threads, n_tasks, None, init, task, sink)
-}
-
-/// [`run_ordered`] with cooperative cancellation: each worker polls `cancel`
-/// before claiming its next task and stops claiming once the token trips.
-/// Tasks are claimed in index order, so the sink observes exactly the
-/// contiguous prefix of tasks claimed before the trip — a cancelled run's
-/// partial output is a clean prefix, never a gapped subset.
 pub fn run_ordered_with<S, T, FInit, FTask, FSink>(
     threads: usize,
     n_tasks: usize,
     cancel: Option<&CancelToken>,
     init: FInit,
     task: FTask,
-    mut sink: FSink,
+    sink: FSink,
 ) -> Vec<S>
 where
     S: Send,
@@ -296,28 +280,37 @@ where
             })
             .collect();
         drop(tx);
-
-        // Canonical-order reassembly: buffer out-of-order completions,
-        // flush the contiguous prefix as it forms.
-        let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        for (i, out) in rx {
-            pending.insert(i, out);
-            while let Some(out) = pending.remove(&emit_next) {
-                sink(emit_next, out);
-                emit_next += 1;
-            }
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
+        reassemble(rx, sink);
+        join_workers(handles)
     })
 }
 
-/// Scheduling state of [`run_ordered_fallible`]: fresh task indices come
-/// from `next`, failed tasks wait in `retries` for any worker to pick up.
+/// Canonical-order reassembly on the calling thread: buffers out-of-order
+/// completions and flushes the contiguous prefix to `sink` as it forms.
+/// Returns once every worker has hung up its sender.
+fn reassemble<T>(rx: mpsc::Receiver<(usize, T)>, mut sink: impl FnMut(usize, T)) {
+    let mut pending: BTreeMap<usize, T> = BTreeMap::new();
+    let mut emit_next = 0usize;
+    for (i, out) in rx {
+        pending.insert(i, out);
+        while let Some(out) = pending.remove(&emit_next) {
+            sink(emit_next, out);
+            emit_next += 1;
+        }
+    }
+}
+
+/// Joins the scoped workers, returning their final states in worker order.
+fn join_workers<S>(handles: Vec<std::thread::ScopedJoinHandle<'_, S>>) -> Vec<S> {
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("parallel worker panicked"))
+        .collect()
+}
+
+/// Scheduling state of [`run_ordered_prefetch_fallible_with`]: fresh task
+/// indices come from `next`, failed tasks wait in `retries` for any worker
+/// to pick up.
 struct Requeue {
     next: usize,
     retries: Vec<(usize, u32)>, // (task index, round = prior failures)
@@ -325,9 +318,10 @@ struct Requeue {
     requeues: u64,
 }
 
-/// Scheduler-level counters from one [`run_ordered_fallible`] run, counted
-/// by the shared queue itself — independent of whatever the per-worker
-/// states accumulate, so callers can cross-check their own accounting.
+/// Scheduler-level counters from one [`run_ordered_prefetch_fallible_with`]
+/// run, counted by the shared queue itself — independent of whatever the
+/// per-worker states accumulate, so callers can cross-check their own
+/// accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Fresh task indices claimed (≤ `n_tasks` under cancellation).
@@ -390,155 +384,39 @@ fn claim_job(
     }
 }
 
-/// [`run_ordered`] for fallible tasks, with bounded requeueing: a task that
-/// returns `Err` goes back into the shared queue up to `max_requeues` times
-/// before its final `Err` is delivered to the sink. Each retry runs on
-/// whichever worker claims it (round-robin recovery: a partition whose
-/// worker exhausted its I/O retry budget gets a fresh chance, and the
-/// storage layer's shared per-identity fault counters have advanced in the
-/// meantime, so deterministic transient faults are eventually consumed).
+/// [`run_ordered_with`] for fallible tasks, with bounded requeueing and a
+/// split **load / compute** pipeline.
 ///
-/// `task(&mut state, task_idx, round)` sees `round = 0` on the first run and
-/// `round = k` on the `k`-th requeue. The sink observes exactly one final
-/// `Result` per task, in canonical order. Worker states are returned as in
-/// [`run_ordered`].
-pub fn run_ordered_fallible<S, T, E, FInit, FTask, FSink>(
-    threads: usize,
-    n_tasks: usize,
-    max_requeues: u32,
-    init: FInit,
-    task: FTask,
-    sink: FSink,
-) -> (Vec<S>, PoolStats)
-where
-    S: Send,
-    T: Send,
-    E: Send,
-    FInit: Fn(usize) -> S + Sync,
-    FTask: Fn(&mut S, usize, u32) -> Result<T, E> + Sync,
-    FSink: FnMut(usize, Result<T, E>),
-{
-    run_ordered_fallible_with(threads, n_tasks, max_requeues, None, init, task, sink)
-}
-
-/// [`run_ordered_fallible`] with cooperative cancellation, with the same
-/// claim-before-poll contract as [`run_ordered_with`]: workers stop claiming
-/// (fresh indices *and* queued retries) once the token trips, in-flight
-/// tasks finish, and the sink observes a prefix of final results.
-pub fn run_ordered_fallible_with<S, T, E, FInit, FTask, FSink>(
-    threads: usize,
-    n_tasks: usize,
-    max_requeues: u32,
-    cancel: Option<&CancelToken>,
-    init: FInit,
-    task: FTask,
-    mut sink: FSink,
-) -> (Vec<S>, PoolStats)
-where
-    S: Send,
-    T: Send,
-    E: Send,
-    FInit: Fn(usize) -> S + Sync,
-    FTask: Fn(&mut S, usize, u32) -> Result<T, E> + Sync,
-    FSink: FnMut(usize, Result<T, E>),
-{
-    let threads = threads.max(1).min(n_tasks.max(1));
-    let queue = Mutex::new(Requeue {
-        next: 0,
-        retries: Vec::new(),
-        in_flight: 0,
-        requeues: 0,
-    });
-    let cvar = Condvar::new();
-    let (tx, rx) = mpsc::channel::<(usize, Result<T, E>)>();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let tx = tx.clone();
-                let queue = &queue;
-                let cvar = &cvar;
-                let init = &init;
-                let task = &task;
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    loop {
-                        if cancel.is_some_and(|c| c.is_cancelled()) {
-                            break;
-                        }
-                        let claimed = claim_job(queue, cvar, n_tasks, cancel, true);
-                        let Some((i, round)) = claimed else { break };
-                        let guard = InFlightGuard { queue, cvar };
-                        let res = task(&mut state, i, round);
-                        match res {
-                            Err(e) if round < max_requeues => {
-                                let mut q = queue.lock().expect("requeue lock");
-                                q.retries.push((i, round + 1));
-                                q.requeues += 1;
-                                drop(q);
-                                drop(e);
-                            }
-                            final_res => {
-                                // Receiver outlives the scope; send only
-                                // fails if the collector panicked first.
-                                let _ = tx.send((i, final_res));
-                            }
-                        }
-                        drop(guard); // decrement + notify after requeue push
-                    }
-                    state
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Canonical-order reassembly, as in `run_ordered`.
-        let mut pending: BTreeMap<usize, Result<T, E>> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        for (i, out) in rx {
-            pending.insert(i, out);
-            while let Some(out) = pending.remove(&emit_next) {
-                sink(emit_next, out);
-                emit_next += 1;
-            }
-        }
-
-        let states: Vec<S> = handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect();
-        let q = match queue.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let stats = PoolStats {
-            tasks_claimed: q.next as u64,
-            requeues: q.requeues,
-        };
-        drop(q);
-        (states, stats)
-    })
-}
-
-/// [`run_ordered_fallible_with`] with a split **load / compute** pipeline:
-/// each worker is a two-stage software pipeline that claims and `load`s
-/// task `k+1` *before* computing task `k`, so on a multi-channel disk the
-/// next partition's pages stream in on their own channel while the current
-/// partition's join runs (double-buffered prefetch — the channel model
-/// turns the overlap into hidden simulated time).
+/// Requeueing: a task that returns `Err` goes back into the shared queue up
+/// to `max_requeues` times before its final `Err` is delivered to the sink.
+/// Each retry runs on whichever worker claims it (round-robin recovery: a
+/// partition whose worker exhausted its I/O retry budget gets a fresh
+/// chance, and the storage layer's shared per-identity fault counters have
+/// advanced in the meantime, so deterministic transient faults are
+/// eventually consumed). The sink observes exactly one final `Result` per
+/// task, in canonical order.
+///
+/// Pipelining: each worker claims and `load`s task `k+1` *before* computing
+/// task `k`, so on a multi-channel disk the next partition's pages stream in
+/// on their own channel while the current partition's join runs
+/// (double-buffered prefetch — the channel model turns the overlap into
+/// hidden simulated time).
 ///
 /// * `load(&mut state, task_idx, round)` performs the task's input I/O and
 ///   returns whatever the compute stage needs. It runs exactly once per
-///   (task, round) — a requeued round re-loads, same as the non-pipelined
-///   pool re-runs the whole task.
-/// * `task(&mut state, task_idx, round, loaded)` consumes the loaded input.
+///   (task, round) — a requeued round re-loads.
+/// * `task(&mut state, task_idx, round, loaded)` consumes the loaded input;
+///   `round = 0` on the first run and `round = k` on the `k`-th requeue.
 ///   Both stages of one task run on the same worker (same forked meter), in
 ///   order, so per-task I/O deltas stay exact.
 ///
-/// Scheduling, requeueing, cancellation and output order are identical to
-/// [`run_ordered_fallible_with`]: a prefetched task was *claimed*, so it is
-/// computed even if the token trips before its turn, preserving the
-/// clean-prefix property.
-#[allow(clippy::too_many_arguments)] // mirrors run_ordered_fallible_with plus the load stage
+/// Cancellation follows [`run_ordered_with`]: workers stop claiming (fresh
+/// indices *and* queued retries) once the token trips and in-flight tasks
+/// finish. A prefetched task was *claimed*, so it is computed even if the
+/// token trips before its turn, preserving the clean-prefix property.
+/// Worker states are returned as in [`run_ordered_with`], with the
+/// scheduler's own [`PoolStats`].
+#[allow(clippy::too_many_arguments)] // the pool's knobs plus its three stages
 pub fn run_ordered_prefetch_fallible_with<S, L, T, E, FInit, FLoad, FTask, FSink>(
     threads: usize,
     n_tasks: usize,
@@ -547,7 +425,7 @@ pub fn run_ordered_prefetch_fallible_with<S, L, T, E, FInit, FLoad, FTask, FSink
     init: FInit,
     load: FLoad,
     task: FTask,
-    mut sink: FSink,
+    sink: FSink,
 ) -> (Vec<S>, PoolStats)
 where
     S: Send,
@@ -628,22 +506,8 @@ where
             })
             .collect();
         drop(tx);
-
-        // Canonical-order reassembly, as in `run_ordered`.
-        let mut pending: BTreeMap<usize, Result<T, E>> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        for (i, out) in rx {
-            pending.insert(i, out);
-            while let Some(out) = pending.remove(&emit_next) {
-                sink(emit_next, out);
-                emit_next += 1;
-            }
-        }
-
-        let states: Vec<S> = handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect();
+        reassemble(rx, sink);
+        let states = join_workers(handles);
         let q = match queue.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -665,9 +529,10 @@ mod tests {
     fn outputs_arrive_in_canonical_order() {
         for threads in [1, 2, 4, 8] {
             let mut seen = Vec::new();
-            let states = run_ordered(
+            let states = run_ordered_with(
                 threads,
                 100,
+                None,
                 |_w| 0usize,
                 |count, i| {
                     *count += 1;
@@ -686,15 +551,23 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_fine() {
-        let states = run_ordered(4, 0, |_| (), |_, _i: usize| (), |_, _| panic!("no tasks"));
+        let states = run_ordered_with(
+            4,
+            0,
+            None,
+            |_| (),
+            |_, _i: usize| (),
+            |_, _| panic!("no tasks"),
+        );
         assert_eq!(states.len(), 1, "pool clamps to one idle worker");
     }
 
     #[test]
     fn worker_states_are_returned_per_worker() {
-        let states = run_ordered(
+        let states = run_ordered_with(
             3,
             30,
+            None,
             |w| (w, 0u32),
             |(_, n), _i| {
                 *n += 1;
@@ -733,9 +606,10 @@ mod tests {
     #[test]
     fn sink_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        run_ordered(
+        run_ordered_with(
             4,
             16,
+            None,
             |_| (),
             |_, i| i,
             |_, _| assert_eq!(std::thread::current().id(), caller),
@@ -743,101 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn fallible_pool_requeues_up_to_cap() {
+    fn prefetch_pool_requeues_up_to_cap() {
         use std::collections::HashMap;
         use std::sync::Mutex as StdMutex;
         // Task i fails its first `i % 3` runs; with cap 2 every task
-        // eventually succeeds and reports the round it succeeded on.
-        let attempts: StdMutex<HashMap<usize, u32>> = StdMutex::new(HashMap::new());
-        for threads in [1, 4] {
-            attempts.lock().unwrap().clear();
-            let mut seen = Vec::new();
-            let (_, pool) = run_ordered_fallible(
-                threads,
-                30,
-                2,
-                |_| (),
-                |_, i, round| {
-                    *attempts.lock().unwrap().entry(i).or_insert(0) += 1;
-                    if round < (i % 3) as u32 {
-                        Err(format!("task {i} round {round}"))
-                    } else {
-                        Ok((i, round))
-                    }
-                },
-                |i, out| seen.push((i, out)),
-            );
-            assert_eq!(seen.len(), 30);
-            for (idx, (i, out)) in seen.iter().enumerate() {
-                assert_eq!(idx, *i, "canonical order");
-                let (task, round) = out.as_ref().expect("all tasks recover within cap");
-                assert_eq!(*task, idx);
-                assert_eq!(*round, (idx % 3) as u32);
-            }
-            let att = attempts.lock().unwrap();
-            for i in 0..30usize {
-                assert_eq!(att[&i], (i % 3) as u32 + 1, "task {i} total runs");
-            }
-            // Scheduler-side counters agree with the task-side bookkeeping:
-            // every task was claimed once fresh, and each requeue is one
-            // failed round, i.e. sum over i of (i % 3).
-            assert_eq!(pool.tasks_claimed, 30);
-            assert_eq!(pool.requeues, (0..30).map(|i| (i % 3) as u64).sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn fallible_pool_surfaces_final_error_after_cap() {
-        for threads in [1, 3] {
-            let mut results = Vec::new();
-            let (_, pool) = run_ordered_fallible(
-                threads,
-                10,
-                1,
-                |_| 0u32,
-                |runs, i, _round| {
-                    *runs += 1;
-                    if i == 4 {
-                        Err("always fails")
-                    } else {
-                        Ok(i)
-                    }
-                },
-                |i, out| results.push((i, out)),
-            );
-            assert_eq!(results.len(), 10);
-            for (i, out) in &results {
-                if *i == 4 {
-                    assert_eq!(*out, Err("always fails"));
-                } else {
-                    assert_eq!(*out, Ok(*i));
-                }
-            }
-            assert_eq!(pool.requeues, 1, "task 4 requeued once before the cap");
-        }
-    }
-
-    #[test]
-    fn fallible_pool_zero_tasks_is_fine() {
-        let (states, pool) = run_ordered_fallible(
-            4,
-            0,
-            3,
-            |_| (),
-            |_, _i, _r| Ok::<(), ()>(()),
-            |_, _| panic!("no tasks"),
-        );
-        assert_eq!(states.len(), 1);
-        assert_eq!(pool, PoolStats::default());
-    }
-
-    #[test]
-    fn prefetch_pool_matches_fallible_pool_results() {
-        use std::collections::HashMap;
-        use std::sync::Mutex as StdMutex;
-        // Same failure pattern as the plain fallible pool test; the
-        // pipelined pool must deliver identical final results in identical
-        // order, with load running exactly once per (task, round).
+        // eventually succeeds, in canonical order, reporting the round it
+        // succeeded on, with load running exactly once per (task, round).
         for threads in [1, 2, 4] {
             let loads: StdMutex<HashMap<(usize, u32), u32>> = StdMutex::new(HashMap::new());
             let mut seen = Vec::new();
@@ -873,6 +658,14 @@ mod tests {
                     assert_eq!(l.get(&(i, round)), Some(&1), "task {i} round {round}");
                 }
             }
+            assert_eq!(
+                l.len(),
+                (0..30).map(|i| i % 3 + 1).sum::<usize>(),
+                "no extra rounds"
+            );
+            // Scheduler-side counters agree with the task-side bookkeeping:
+            // every task was claimed once fresh, and each requeue is one
+            // failed round, i.e. sum over i of (i % 3).
             assert_eq!(pool.tasks_claimed, 30);
             assert_eq!(pool.requeues, (0..30).map(|i| (i % 3) as u64).sum::<u64>());
         }
@@ -880,32 +673,34 @@ mod tests {
 
     #[test]
     fn prefetch_pool_surfaces_final_error_after_cap() {
-        let mut results = Vec::new();
-        let (_, pool) = run_ordered_prefetch_fallible_with(
-            3,
-            10,
-            1,
-            None,
-            |_| (),
-            |_, i, _r| i,
-            |_, i, _round, loaded| {
-                if loaded == 4 {
-                    Err("always fails")
+        for threads in [1, 3] {
+            let mut results = Vec::new();
+            let (_, pool) = run_ordered_prefetch_fallible_with(
+                threads,
+                10,
+                1,
+                None,
+                |_| (),
+                |_, i, _r| i,
+                |_, i, _round, loaded| {
+                    if loaded == 4 {
+                        Err("always fails")
+                    } else {
+                        Ok(i)
+                    }
+                },
+                |i, out| results.push((i, out)),
+            );
+            assert_eq!(results.len(), 10);
+            for (i, out) in &results {
+                if *i == 4 {
+                    assert_eq!(*out, Err("always fails"));
                 } else {
-                    Ok(i)
+                    assert_eq!(*out, Ok(*i));
                 }
-            },
-            |i, out| results.push((i, out)),
-        );
-        assert_eq!(results.len(), 10);
-        for (i, out) in &results {
-            if *i == 4 {
-                assert_eq!(*out, Err("always fails"));
-            } else {
-                assert_eq!(*out, Ok(*i));
             }
+            assert_eq!(pool.requeues, 1, "task 4 requeued once before the cap");
         }
-        assert_eq!(pool.requeues, 1);
     }
 
     #[test]
@@ -1022,16 +817,17 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_fallible_pool_stops_claiming_retries() {
+    fn cancelled_prefetch_pool_stops_claiming_retries() {
         let token = CancelToken::new();
         let mut seen = Vec::new();
-        let (_, pool) = run_ordered_fallible_with(
+        let (_, pool) = run_ordered_prefetch_fallible_with(
             2,
             50,
             3,
             Some(&token),
             |_| (),
-            |_, i, round| {
+            |_, i, _r| i,
+            |_, i, round, _loaded| {
                 if i == 5 && round == 0 {
                     token.cancel();
                     return Err("tripped mid-task");

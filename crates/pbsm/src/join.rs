@@ -231,25 +231,12 @@ struct Ctx<'a> {
 
 /// Runs PBSM on `r ⋈ s`, invoking `out` for every result pair.
 ///
-/// Infallible wrapper over [`try_pbsm_join`]; panics with the typed error's
-/// message if a request exhausts the disk's retry budget and every
-/// degradation path (impossible on a fault-free disk).
-pub fn pbsm_join(
-    disk: &SimDisk,
-    r: &[Kpe],
-    s: &[Kpe],
-    cfg: &PbsmConfig,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> PbsmStats {
-    try_pbsm_join(disk, r, s, cfg, out)
-        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-}
-
-/// Runs PBSM on `r ⋈ s`, invoking `out` for every result pair.
-///
 /// Reading the inputs and delivering the output are free of charge, per the
 /// paper's cost model (§2); all intermediate files (partitions, repartitions,
 /// candidate sets) live on `disk` and are fully accounted.
+///
+/// A zero memory budget is refused up front with a typed `setup` error
+/// ([`storage::IoErrorKind::Unsupported`]): formula (1) divides by it.
 ///
 /// Failure semantics: every page request already retried under the disk's
 /// [`storage::RetryPolicy`] before an error reaches this layer. A partition
@@ -262,20 +249,11 @@ pub fn pbsm_join(
 /// discarded, so nothing is double-emitted. Only when all of that is
 /// exhausted does the typed [`JoinError`] surface. Failed attempts, retries
 /// and backoff stay charged to the disk meter either way.
-pub fn try_pbsm_join(
-    disk: &SimDisk,
-    r: &[Kpe],
-    s: &[Kpe],
-    cfg: &PbsmConfig,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<PbsmStats, JoinError> {
-    try_pbsm_join_ctl(disk, r, s, cfg, &RunControl::none(), out)
-}
-
-/// [`try_pbsm_join`] with run-control plumbing: cooperative cancellation, a
-/// simulated-time deadline (both checked at partition granularity), and —
-/// when [`RunControl::checkpoint`] is set — durable per-partition commits
-/// with exactly-once resume.
+///
+/// Run control (`ctl`, [`RunControl::none`] for a plain run): cooperative
+/// cancellation, a simulated-time deadline (both checked at partition
+/// granularity), and — when [`RunControl::checkpoint`] is set — durable
+/// per-partition commits with exactly-once resume.
 ///
 /// Checkpointing requires [`Dedup::ReferencePoint`] or [`Dedup::TwoLayer`]:
 /// both attribute every result pair to exactly one top-level partition (the
@@ -293,7 +271,7 @@ pub fn try_pbsm_join(
 /// the uncommitted ones: together the two legs produce the uninterrupted
 /// output with zero re-emissions. A resumed run folds the journaled counters
 /// into its stats, so its reported totals equal an uninterrupted run's.
-pub fn try_pbsm_join_ctl(
+pub fn try_pbsm_join(
     disk: &SimDisk,
     r: &[Kpe],
     s: &[Kpe],
@@ -301,6 +279,9 @@ pub fn try_pbsm_join_ctl(
     ctl: &RunControl,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<PbsmStats, JoinError> {
+    if cfg.mem_bytes == 0 {
+        return Err(JoinError::new("setup", IoError::unsupported()));
+    }
     let mut sink = PartitionSink::new(ctl, disk);
     let checkpointing = sink.is_checkpointing();
     if checkpointing && !matches!(cfg.dedup, Dedup::ReferencePoint | Dedup::TwoLayer) {
@@ -880,7 +861,9 @@ pub fn try_pbsm_join_ctl(
             .map_err(|e| JoinError::new("dedup", e))?;
         ddisk.delete(cand_file);
         let mut prev: Option<IdPair> = None;
-        let mut reader = RecordReader::<IdPair>::new(&ddisk, sorted, cfg.io_buffer_pages);
+        // `sorted` was just created, so opening it fails only if it is gone.
+        let mut reader = RecordReader::<IdPair>::new(&ddisk, sorted, cfg.io_buffer_pages)
+            .map_err(|e| JoinError::new("dedup", e))?;
         loop {
             let pair = match reader.try_next() {
                 Ok(Some(pair)) => pair,
@@ -1451,7 +1434,7 @@ fn join_pair(
         let copied: Result<u64, IoError> = (|| {
             let mut copies = 0u64;
             let mut targets: Vec<u32> = Vec::with_capacity(8);
-            let mut reader = RecordReader::<Kpe>::new(disk, big, io_pages);
+            let mut reader = RecordReader::<Kpe>::new(disk, big, io_pages)?;
             while let Some(k) = reader.try_next()? {
                 targets.clear();
                 let (xs, ys) = chain.base.tile_range(&k.rect, f_new);
@@ -1591,7 +1574,10 @@ mod tests {
     fn run(r: &[Kpe], s: &[Kpe], cfg: &PbsmConfig) -> (Vec<(u64, u64)>, PbsmStats) {
         let disk = SimDisk::with_default_model();
         let mut got = Vec::new();
-        let stats = pbsm_join(&disk, r, s, cfg, &mut |a, b| got.push((a.0, b.0)));
+        let stats = try_pbsm_join(&disk, r, s, cfg, &RunControl::none(), &mut |a, b| {
+            got.push((a.0, b.0))
+        })
+        .unwrap();
         got.sort_unstable();
         (got, stats)
     }
@@ -1799,22 +1785,26 @@ mod tests {
         };
         let disk = SimDisk::with_default_model();
         let mut seq = Vec::new();
-        let st1 = pbsm_join(
+        let st1 = try_pbsm_join(
             &disk,
             &r,
             &s,
             &PbsmConfig { threads: 1, ..base },
+            &RunControl::none(),
             &mut |a, b| seq.push((a.0, b.0)),
-        );
+        )
+        .unwrap();
         let disk = SimDisk::with_default_model();
         let mut par = Vec::new();
-        let st4 = pbsm_join(
+        let st4 = try_pbsm_join(
             &disk,
             &r,
             &s,
             &PbsmConfig { threads: 4, ..base },
+            &RunControl::none(),
             &mut |a, b| par.push((a.0, b.0)),
-        );
+        )
+        .unwrap();
         // Emission order (not just the set) and every deterministic counter
         // must be scheduling-independent.
         assert_eq!(seq, par);
@@ -1872,7 +1862,8 @@ mod tests {
             ..Default::default()
         };
         let disk = SimDisk::with_default_model();
-        let stats = pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let stats =
+            try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {}).unwrap();
         // Partition + repart + join I/O happens on the main disk...
         let main = [Phase::Partition, Phase::Repartition, Phase::Join]
             .iter()
@@ -1904,7 +1895,10 @@ mod tests {
                 ..Default::default()
             };
             let mut got = Vec::new();
-            let stats = pbsm_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)));
+            let stats = try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| {
+                got.push((a.0, b.0))
+            })
+            .unwrap();
             got.sort_unstable();
             (got, stats)
         };
@@ -1967,8 +1961,10 @@ mod tests {
                 RetryPolicy::default(),
             );
             let mut got = Vec::new();
-            let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
-                .expect("persistent damage must quarantine, not kill the join");
+            let stats = try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| {
+                got.push((a.0, b.0))
+            })
+            .expect("persistent damage must quarantine, not kill the join");
             got.sort_unstable();
             assert_eq!(got, clean, "seed {seed} diverged");
             if stats.quarantined_partitions > 0 {
@@ -1997,8 +1993,10 @@ mod tests {
                 ..Default::default()
             };
             let mut got = Vec::new();
-            let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
-                .expect("quarantine covers persistent damage");
+            let stats = try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| {
+                got.push((a.0, b.0))
+            })
+            .expect("quarantine covers persistent damage");
             got.sort_unstable();
             (got, stats)
         };
@@ -2029,8 +2027,10 @@ mod tests {
             RetryPolicy::default(),
         );
         let mut got = Vec::new();
-        let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
-            .expect("ENOSPC must degrade to the in-memory plan, not die");
+        let stats = try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| {
+            got.push((a.0, b.0))
+        })
+        .expect("ENOSPC must degrade to the in-memory plan, not die");
         got.sort_unstable();
         assert_eq!(got, clean);
         assert_eq!(stats.enospc_fallbacks, 2);
@@ -2042,7 +2042,8 @@ mod tests {
             FaultPlan::none(7).with_disk_budget(1 << 20),
             RetryPolicy::default(),
         );
-        let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {}).unwrap();
+        let stats =
+            try_pbsm_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {}).unwrap();
         assert_eq!(stats.enospc_fallbacks, 0);
         assert!(stats.partitions > 1);
     }
@@ -2088,7 +2089,15 @@ mod formula_tests {
                 safety_factor: t,
                 ..Default::default()
             };
-            let st = pbsm_join(&disk, &data, &data, &cfg, &mut |_, _| {});
+            let st = try_pbsm_join(
+                &disk,
+                &data,
+                &data,
+                &cfg,
+                &RunControl::none(),
+                &mut |_, _| {},
+            )
+            .unwrap();
             assert_eq!(st.partitions, expect, "mem={mem} t={t}");
         }
     }
@@ -2106,7 +2115,15 @@ mod formula_tests {
                 safety_factor: t,
                 ..Default::default()
             };
-            pbsm_join(&disk, &data, &data, &cfg, &mut |_, _| {})
+            try_pbsm_join(
+                &disk,
+                &data,
+                &data,
+                &cfg,
+                &RunControl::none(),
+                &mut |_, _| {},
+            )
+            .unwrap()
         };
         let tight = run(1.0);
         let safe = run(1.2);
@@ -2129,13 +2146,21 @@ mod formula_tests {
             ..Default::default()
         };
         let mut n = 0u64;
-        let st = pbsm_join(&disk, &data, &data, &cfg, &mut |_, _| n += 1);
+        let st = try_pbsm_join(
+            &disk,
+            &data,
+            &data,
+            &cfg,
+            &RunControl::none(),
+            &mut |_, _| n += 1,
+        )
+        .unwrap();
         assert_eq!(st.partitions, 1);
         assert_eq!(disk.stats(), IoStats::default(), "P=1 must not touch disk");
         assert_eq!(st.results, n);
         assert!(n > 0);
         // The sort-phase variant still pays its dedup I/O, but no partition I/O.
-        let st = pbsm_join(
+        let st = try_pbsm_join(
             &disk,
             &data,
             &data,
@@ -2143,8 +2168,10 @@ mod formula_tests {
                 dedup: Dedup::SortPhase,
                 ..cfg
             },
+            &RunControl::none(),
             &mut |_, _| {},
-        );
+        )
+        .unwrap();
         assert_eq!(st.cost[Phase::Partition].io, IoStats::default());
         assert!(st.cost[Phase::Dedup].io.pages_written > 0);
         assert_eq!(st.results, n);
@@ -2161,7 +2188,15 @@ mod formula_tests {
             ..Default::default()
         };
         let mut emitted = 0u64;
-        let st = pbsm_join(&disk, &data, &data, &cfg, &mut |_, _| emitted += 1);
+        let st = try_pbsm_join(
+            &disk,
+            &data,
+            &data,
+            &cfg,
+            &RunControl::none(),
+            &mut |_, _| emitted += 1,
+        )
+        .unwrap();
         assert_eq!(emitted, st.candidates);
         assert_eq!(st.results, st.candidates);
         assert_eq!(st.duplicates, 0);

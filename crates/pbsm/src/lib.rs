@@ -19,11 +19,11 @@
 //!    partition being processed — at most six extra comparisons, no
 //!    materialisation, no blocking.
 //!
-//! Entry point: [`pbsm_join`]; all phase timings, I/O breakdowns and
+//! Entry point: [`try_pbsm_join`]; all phase timings, I/O breakdowns and
 //! counters land in [`PbsmStats`].
 
 mod grid;
 mod join;
 
 pub use grid::{PartitionMap, RegionChain, TileGrid, TileScheme};
-pub use join::{pbsm_join, try_pbsm_join, try_pbsm_join_ctl, Dedup, PbsmConfig, PbsmStats};
+pub use join::{try_pbsm_join, Dedup, PbsmConfig, PbsmStats};

@@ -139,8 +139,8 @@ impl<'a, R: Refiner> Refinement<'a, R> {
 mod tests {
     use super::*;
     use geom::{Kpe, Point};
-    use pbsm::{pbsm_join, PbsmConfig};
-    use storage::SimDisk;
+    use pbsm::{try_pbsm_join, PbsmConfig};
+    use storage::{RunControl, SimDisk};
 
     fn brute_exact(r: &[Segment], s: &[Segment]) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
@@ -185,9 +185,15 @@ mod tests {
             mem_bytes: 32 * 1024,
             ..Default::default()
         };
-        pbsm_join(&disk, &dr.kpes, &ds.kpes, &cfg, &mut |a, b| {
-            refinement.accept(a, b)
-        });
+        try_pbsm_join(
+            &disk,
+            &dr.kpes,
+            &ds.kpes,
+            &cfg,
+            &RunControl::none(),
+            &mut |a, b| refinement.accept(a, b),
+        )
+        .unwrap();
         let stats = refinement.stats();
         hits.sort_unstable();
         assert_eq!(hits, want);

@@ -17,7 +17,7 @@
 use geom::{Kpe, Rect, RecordId};
 
 mod paged;
-pub use paged::{paged_rtree_join, PagedRTree};
+pub use paged::{try_paged_rtree_join, PagedRTree};
 
 /// Maximum entries per node (fanout). The paper-era value for 8 KiB pages
 /// and ~40-byte entries.

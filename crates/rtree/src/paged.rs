@@ -6,7 +6,7 @@
 //! pool instead of being recharged.
 
 use geom::{Kpe, Rect, RecordId};
-use storage::{BufferPool, FileId, FileWriter, SimDisk};
+use storage::{BufferPool, FileId, FileWriter, IoError, SimDisk};
 
 use crate::{RTree, RtreeStats};
 
@@ -31,9 +31,10 @@ struct DecodedNode {
 }
 
 impl RTree {
-    /// Serialises the tree to `disk`. Fails if the fanout does not fit a
-    /// page (`fanout · 44 + 4 ≤ page_size`).
-    pub fn to_paged(&self, disk: &SimDisk) -> PagedRTree {
+    /// Serialises the tree to `disk`. Panics if the fanout does not fit a
+    /// page (`fanout · 44 + 4 ≤ page_size`); a failed write surfaces as a
+    /// typed error.
+    pub fn try_to_paged(&self, disk: &SimDisk) -> Result<PagedRTree, IoError> {
         let ps = disk.model().page_size;
         assert!(
             self.fanout * ENTRY_SIZE + HEADER_SIZE <= ps,
@@ -57,16 +58,16 @@ impl RTree {
                 page[off + 32..off + 36].copy_from_slice(&e.child.to_le_bytes());
                 page[off + 36..off + 44].copy_from_slice(&e.id.0.to_le_bytes());
             }
-            w.write(&page);
+            w.try_write(&page)?;
         }
-        w.finish();
-        PagedRTree {
+        w.try_finish()?;
+        Ok(PagedRTree {
             file,
             root: self.root,
             height: self.height,
             len: self.len,
             node_count: self.nodes.len(),
-        }
+        })
     }
 }
 
@@ -91,8 +92,8 @@ impl PagedRTree {
         self.file
     }
 
-    fn node(&self, pool: &mut BufferPool, idx: u32) -> DecodedNode {
-        let page = pool.get(self.file, idx as u64);
+    fn node(&self, pool: &mut BufferPool, idx: u32) -> Result<DecodedNode, IoError> {
+        let page = pool.try_get(self.file, idx as u64)?;
         let count = u16::from_le_bytes(page[0..2].try_into().unwrap()) as usize;
         let leaf = page[2] != 0;
         let mut entries = Vec::with_capacity(count);
@@ -110,24 +111,24 @@ impl PagedRTree {
                 u64::from_le_bytes(page[off + 36..off + 44].try_into().unwrap()),
             ));
         }
-        DecodedNode { leaf, entries }
+        Ok(DecodedNode { leaf, entries })
     }
 
     /// Window query through the pool.
-    pub fn window_query(
+    pub fn try_window_query(
         &self,
         pool: &mut BufferPool,
         query: &Rect,
         out: &mut dyn FnMut(RecordId, &Rect),
-    ) -> RtreeStats {
+    ) -> Result<RtreeStats, IoError> {
         let mut stats = RtreeStats::default();
         if self.len == 0 {
-            return stats;
+            return Ok(stats);
         }
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {
             stats.node_visits += 1;
-            let node = self.node(pool, idx);
+            let node = self.node(pool, idx)?;
             for (rect, child, id) in &node.entries {
                 stats.tests += 1;
                 if rect.intersects(query) {
@@ -139,27 +140,27 @@ impl PagedRTree {
                 }
             }
         }
-        stats
+        Ok(stats)
     }
 }
 
 /// Synchronized join over two disk-resident R-trees, each traversed through
 /// its own buffer pool. Same pairing semantics as [`crate::rtree_join`].
-pub fn paged_rtree_join(
+pub fn try_paged_rtree_join(
     r: &PagedRTree,
     s: &PagedRTree,
     pool_r: &mut BufferPool,
     pool_s: &mut BufferPool,
     out: &mut dyn FnMut(&Kpe, &Kpe),
-) -> RtreeStats {
+) -> Result<RtreeStats, IoError> {
     let mut stats = RtreeStats::default();
     if r.is_empty() || s.is_empty() {
-        return stats;
+        return Ok(stats);
     }
     join_paged(
         r, s, pool_r, pool_s, r.root, s.root, r.height, s.height, &mut stats, out,
-    );
-    stats
+    )?;
+    Ok(stats)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -174,10 +175,10 @@ fn join_paged(
     hs: u32,
     stats: &mut RtreeStats,
     out: &mut dyn FnMut(&Kpe, &Kpe),
-) {
+) -> Result<(), IoError> {
     stats.node_visits += 1;
-    let node_r = r.node(pool_r, nr);
-    let node_s = s.node(pool_s, ns);
+    let node_r = r.node(pool_r, nr)?;
+    let node_s = s.node(pool_s, ns)?;
     let mbr = |n: &DecodedNode| {
         let mut it = n.entries.iter();
         let first = it.next().expect("non-empty node").0;
@@ -188,20 +189,20 @@ fn join_paged(
         for (rect, child, _) in &node_r.entries {
             stats.tests += 1;
             if s_mbr.intersects(rect) {
-                join_paged(r, s, pool_r, pool_s, *child, ns, hr - 1, hs, stats, out);
+                join_paged(r, s, pool_r, pool_s, *child, ns, hr - 1, hs, stats, out)?;
             }
         }
-        return;
+        return Ok(());
     }
     if hs > hr {
         let r_mbr = mbr(&node_r);
         for (rect, child, _) in &node_s.entries {
             stats.tests += 1;
             if r_mbr.intersects(rect) {
-                join_paged(r, s, pool_r, pool_s, nr, *child, hr, hs - 1, stats, out);
+                join_paged(r, s, pool_r, pool_s, nr, *child, hr, hs - 1, stats, out)?;
             }
         }
-        return;
+        return Ok(());
     }
     // Same level: sort by xl and sweep, like the in-memory join.
     let mut er = node_r.entries;
@@ -222,7 +223,7 @@ fn join_paged(
                     if leaf {
                         out(&Kpe::new(RecordId(a.2), a.0), &Kpe::new(RecordId(b.2), b.0));
                     } else {
-                        join_paged(r, s, pool_r, pool_s, a.1, b.1, hr - 1, hs - 1, stats, out);
+                        join_paged(r, s, pool_r, pool_s, a.1, b.1, hr - 1, hs - 1, stats, out)?;
                     }
                 }
             }
@@ -238,13 +239,14 @@ fn join_paged(
                     if leaf {
                         out(&Kpe::new(RecordId(a.2), a.0), &Kpe::new(RecordId(b.2), b.0));
                     } else {
-                        join_paged(r, s, pool_r, pool_s, a.1, b.1, hr - 1, hs - 1, stats, out);
+                        join_paged(r, s, pool_r, pool_s, a.1, b.1, hr - 1, hs - 1, stats, out)?;
                     }
                 }
             }
             j += 1;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -274,14 +276,15 @@ mod tests {
         want.sort_unstable();
 
         let d = disk();
-        let pr = tr.to_paged(&d);
-        let ps = ts.to_paged(&d);
+        let pr = tr.try_to_paged(&d).unwrap();
+        let ps = ts.try_to_paged(&d).unwrap();
         let mut pool_r = BufferPool::new(&d, 8);
         let mut pool_s = BufferPool::new(&d, 8);
         let mut got = Vec::new();
-        paged_rtree_join(&pr, &ps, &mut pool_r, &mut pool_s, &mut |a, b| {
+        try_paged_rtree_join(&pr, &ps, &mut pool_r, &mut pool_s, &mut |a, b| {
             got.push((a.id.0, b.id.0))
-        });
+        })
+        .unwrap();
         got.sort_unstable();
         assert_eq!(got, want);
     }
@@ -291,14 +294,15 @@ mod tests {
         let (r, _) = datasets();
         let t = RTree::bulk(&r, 64);
         let d = disk();
-        let p = t.to_paged(&d);
+        let p = t.try_to_paged(&d).unwrap();
         let mut pool = BufferPool::new(&d, 4);
         for q in [Rect::new(0.1, 0.1, 0.4, 0.3), Rect::new(0.0, 0.0, 1.0, 1.0)] {
             let mut want: Vec<u64> = Vec::new();
             t.window_query(&q, &mut |id, _| want.push(id.0));
             want.sort_unstable();
             let mut got: Vec<u64> = Vec::new();
-            p.window_query(&mut pool, &q, &mut |id, _| got.push(id.0));
+            p.try_window_query(&mut pool, &q, &mut |id, _| got.push(id.0))
+                .unwrap();
             got.sort_unstable();
             assert_eq!(got, want);
         }
@@ -311,12 +315,12 @@ mod tests {
         let ts = RTree::bulk(&s, 64);
         let run = |cap: usize| {
             let d = disk();
-            let pr = tr.to_paged(&d);
-            let ps = ts.to_paged(&d);
+            let pr = tr.try_to_paged(&d).unwrap();
+            let ps = ts.try_to_paged(&d).unwrap();
             d.reset_stats();
             let mut pool_r = BufferPool::new(&d, cap);
             let mut pool_s = BufferPool::new(&d, cap);
-            paged_rtree_join(&pr, &ps, &mut pool_r, &mut pool_s, &mut |_, _| {});
+            try_paged_rtree_join(&pr, &ps, &mut pool_r, &mut pool_s, &mut |_, _| {}).unwrap();
             d.stats().pages_read
         };
         let small = run(2);
@@ -331,12 +335,15 @@ mod tests {
         let (r, _) = datasets();
         let t = RTree::bulk(&r, 32);
         let d = disk();
-        let p = t.to_paged(&d);
+        let p = t.try_to_paged(&d).unwrap();
         assert_eq!(p.node_count(), t.node_count());
         assert_eq!(p.len(), r.len());
         let mut pool = BufferPool::new(&d, 64);
         let mut n = 0usize;
-        p.window_query(&mut pool, &Rect::new(-1.0, -1.0, 2.0, 2.0), &mut |_, _| n += 1);
+        p.try_window_query(&mut pool, &Rect::new(-1.0, -1.0, 2.0, 2.0), &mut |_, _| {
+            n += 1
+        })
+        .unwrap();
         assert_eq!(n, r.len());
     }
 
@@ -349,6 +356,6 @@ mod tests {
         });
         let (r, _) = datasets();
         let t = RTree::bulk(&r[..100], 64); // 64 * 44 + 4 > 256
-        let _ = t.to_paged(&d);
+        let _ = t.try_to_paged(&d);
     }
 }

@@ -56,22 +56,9 @@ impl LevelFiles {
     /// edge, roughly halving the straddle probability per axis and cutting
     /// the overall replication rate from ~3x to ~1.8x while preserving the
     /// <=4-copy bound (§4.3's second design choice: keep replication low).
-    pub fn build(
-        disk: &SimDisk,
-        data: &[Kpe],
-        max_level: u8,
-        curve: Curve,
-        replicate: bool,
-        level_shift: u8,
-        buffer_pages: usize,
-    ) -> LevelFiles {
-        Self::try_build(disk, data, max_level, curve, replicate, level_shift, buffer_pages)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
-    /// Fallible [`LevelFiles::build`]: a write that exhausts the disk's
-    /// retry budget surfaces as a typed error, after every file this call
-    /// created has been deleted.
+    ///
+    /// A write that exhausts the disk's retry budget surfaces as a typed
+    /// error, after every file this call created has been deleted.
     pub fn try_build(
         disk: &SimDisk,
         data: &[Kpe],
@@ -233,7 +220,7 @@ pub fn rebuild_level_sorted(
 mod tests {
     use super::*;
     use geom::{Rect, RecordId};
-    use storage::read_all;
+    use storage::try_read_all;
 
     fn disk() -> SimDisk {
         SimDisk::with_default_model()
@@ -254,14 +241,14 @@ mod tests {
     fn original_assignment_writes_each_rect_once() {
         let d = disk();
         let data = datagen::uniform(500, 0.05, 3);
-        let lf = LevelFiles::build(&d, &data, 10, Curve::Peano, false, 0, 1);
+        let lf = LevelFiles::try_build(&d, &data, 10, Curve::Peano, false, 0, 1).unwrap();
         assert_eq!(lf.copies, 500);
         assert_eq!(lf.histogram.iter().sum::<u64>(), 500);
         let total: usize = lf
             .files
             .iter()
             .flatten()
-            .map(|&f| read_all::<LevelRecord>(&d, f, 1).len())
+            .map(|&f| try_read_all::<LevelRecord>(&d, f, 1).unwrap().len())
             .sum();
         assert_eq!(total, 500);
     }
@@ -270,7 +257,7 @@ mod tests {
     fn replication_is_bounded_by_four() {
         let d = disk();
         let data = datagen::uniform(1000, 0.08, 4);
-        let lf = LevelFiles::build(&d, &data, 12, Curve::Peano, true, 0, 1);
+        let lf = LevelFiles::try_build(&d, &data, 12, Curve::Peano, true, 0, 1).unwrap();
         assert!(lf.copies >= 1000);
         assert!(lf.copies <= 4000, "copies = {}", lf.copies);
     }
@@ -280,11 +267,11 @@ mod tests {
         let d = disk();
         // A rect straddling the centre: size level > 0, four copies.
         let k = Kpe::new(RecordId(1), Rect::new(0.49, 0.49, 0.51, 0.51));
-        let lf = LevelFiles::build(&d, &[k], 12, Curve::Peano, true, 0, 1);
+        let lf = LevelFiles::try_build(&d, &[k], 12, Curve::Peano, true, 0, 1).unwrap();
         assert_eq!(lf.copies, 4);
         let level = sfc::size_level(&k.rect, 12);
         let recs: Vec<LevelRecord> =
-            read_all(&d, lf.files[level as usize].unwrap(), 1);
+            try_read_all(&d, lf.files[level as usize].unwrap(), 1).unwrap();
         let mut codes: Vec<u64> = recs.iter().map(|r| r.code).collect();
         codes.sort_unstable();
         codes.dedup();
@@ -305,8 +292,8 @@ mod tests {
                 Kpe::new(RecordId(i), Rect::new(0.4999, t, 0.5001, t + 0.001))
             })
             .collect();
-        let orig = LevelFiles::build(&d, &data, 12, Curve::Peano, false, 0, 1);
-        let repl = LevelFiles::build(&d, &data, 12, Curve::Peano, true, 0, 1);
+        let orig = LevelFiles::try_build(&d, &data, 12, Curve::Peano, false, 0, 1).unwrap();
+        let repl = LevelFiles::try_build(&d, &data, 12, Curve::Peano, true, 0, 1).unwrap();
         assert_eq!(orig.histogram[0], 50, "all straddlers clipped to root");
         assert_eq!(repl.histogram[0], 0, "size separation rescues them");
     }
@@ -316,7 +303,7 @@ mod tests {
         let d = disk();
         let wide = Kpe::new(RecordId(0), Rect::new(0.0, 0.0, 0.9, 0.9)); // level 0
         let tiny = Kpe::new(RecordId(1), Rect::new(0.1, 0.1, 0.101, 0.101));
-        let lf = LevelFiles::build(&d, &[wide, tiny], 12, Curve::Peano, true, 0, 1);
+        let lf = LevelFiles::try_build(&d, &[wide, tiny], 12, Curve::Peano, true, 0, 1).unwrap();
         // The wide rect is level 0 (one cell, free); the tiny one costs 1.
         assert_eq!(lf.code_computations, 1);
     }

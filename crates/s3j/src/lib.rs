@@ -24,11 +24,11 @@
 //! online by a modified Reference Point Method: report a pair only when the
 //! reference point lies in the cell of the *deeper* of the two partitions.
 //!
-//! Entry point: [`s3j_join`] with [`S3jConfig`]; measurements in
+//! Entry point: [`try_s3j_join`] with [`S3jConfig`]; measurements in
 //! [`S3jStats`].
 
 mod levels;
 mod scan;
 
 pub use levels::{rebuild_level_sorted, LevelFiles, LevelRecord};
-pub use scan::{s3j_join, try_s3j_join, try_s3j_join_ctl, S3jConfig, S3jStats, ScanMode};
+pub use scan::{try_s3j_join, S3jConfig, S3jStats, ScanMode};

@@ -265,9 +265,12 @@ impl<'a> Cursor<'a> {
         buffer_pages: usize,
         source: LevelSource<'a>,
     ) -> Result<Self, IoError> {
-        let mut reader = RecordReader::new(disk, file, buffer_pages);
-        match reader.try_next() {
-            Ok(pending) => Ok(Cursor {
+        let opened = RecordReader::new(disk, file, buffer_pages).and_then(|mut reader| {
+            let pending = reader.try_next()?;
+            Ok((reader, pending))
+        });
+        match opened {
+            Ok((reader, pending)) => Ok(Cursor {
                 src: CursorSrc::Disk(reader),
                 level,
                 rel,
@@ -434,44 +437,6 @@ impl JoinCtx<'_> {
     }
 }
 
-/// Runs S³J on `r ⋈ s`, invoking `out` for every result pair.
-///
-/// Infallible wrapper over [`try_s3j_join`]; panics with the typed error's
-/// message if a request exhausts the disk's retry budget (impossible on a
-/// fault-free disk).
-pub fn s3j_join(
-    disk: &SimDisk,
-    r: &[Kpe],
-    s: &[Kpe],
-    cfg: &S3jConfig,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> S3jStats {
-    try_s3j_join(disk, r, s, cfg, out)
-        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-}
-
-/// Runs S³J on `r ⋈ s`, invoking `out` for every result pair.
-///
-/// Reading the inputs and delivering the output are free of charge (paper
-/// §2); level files, sort runs and the join scan are fully accounted on
-/// `disk`.
-///
-/// Failure semantics: every page request already retried under the disk's
-/// [`storage::RetryPolicy`]; an error reaching this layer is terminal and
-/// surfaces as a typed [`JoinError`] naming the phase (`"build"`, `"sort"`,
-/// `"scan"`), after all intermediate files have been deleted. The parallel
-/// scan's workers are pure CPU — the coordinator performs all discovery
-/// I/O — so errors arise only from build, sort, and the discovery scan.
-pub fn try_s3j_join(
-    disk: &SimDisk,
-    r: &[Kpe],
-    s: &[Kpe],
-    cfg: &S3jConfig,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<S3jStats, JoinError> {
-    try_s3j_join_ctl(disk, r, s, cfg, &RunControl::none(), out)
-}
-
 /// Level-file lists travel through the run manifest as flat [`FileId`]
 /// vectors indexed by level; empty levels are encoded as this sentinel raw
 /// id (never a real file — deleting or keeping it is a no-op on `SimDisk`).
@@ -531,11 +496,24 @@ fn rebuild_sorted_to_spare(
     res
 }
 
-/// [`try_s3j_join`] with run-control plumbing: cooperative cancellation, a
-/// simulated-time deadline (both checked per level file in the build/sort
-/// phases and per discovered partition in the scan), and — when
-/// [`RunControl::checkpoint`] is set — durable per-partition commits with
-/// exactly-once resume.
+/// Runs S³J on `r ⋈ s`, invoking `out` for every result pair.
+///
+/// Reading the inputs and delivering the output are free of charge (paper
+/// §2); level files, sort runs and the join scan are fully accounted on
+/// `disk`.
+///
+/// Failure semantics: every page request already retried under the disk's
+/// [`storage::RetryPolicy`]; an error reaching this layer is terminal and
+/// surfaces as a typed [`JoinError`] naming the phase (`"build"`, `"sort"`,
+/// `"scan"`), after all intermediate files have been deleted. The parallel
+/// scan's workers are pure CPU — the coordinator performs all discovery
+/// I/O — so errors arise only from build, sort, and the discovery scan.
+///
+/// Run control (`ctl`, [`RunControl::none`] for a plain run): cooperative
+/// cancellation, a simulated-time deadline (both checked per level file in
+/// the build/sort phases and per discovered partition in the scan), and —
+/// when [`RunControl::checkpoint`] is set — durable per-partition commits
+/// with exactly-once resume.
 ///
 /// The journal's work unit is the *discovered partition*: the synchronized
 /// scan pops partitions off the cursor heap in a deterministic pre-order,
@@ -554,7 +532,7 @@ fn rebuild_sorted_to_spare(
 /// files), a `Join` manifest after the sort (journal + results + sorted
 /// files; per-partition commits are durable from here), and `Done` at the
 /// end.
-pub fn try_s3j_join_ctl(
+pub fn try_s3j_join(
     disk: &SimDisk,
     r: &[Kpe],
     s: &[Kpe],
@@ -1351,7 +1329,10 @@ mod tests {
     fn run(r: &[Kpe], s: &[Kpe], cfg: &S3jConfig) -> (Vec<(u64, u64)>, S3jStats) {
         let disk = SimDisk::with_default_model();
         let mut got = Vec::new();
-        let stats = s3j_join(&disk, r, s, cfg, &mut |a, b| got.push((a.0, b.0)));
+        let stats = try_s3j_join(&disk, r, s, cfg, &RunControl::none(), &mut |a, b| {
+            got.push((a.0, b.0))
+        })
+        .unwrap();
         got.sort_unstable();
         (got, stats)
     }
@@ -1432,8 +1413,10 @@ mod tests {
                     RetryPolicy::default(),
                 );
                 let mut got = Vec::new();
-                let stats = try_s3j_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
-                    .expect("persistent damage must quarantine, not kill the join");
+                let stats = try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| {
+                    got.push((a.0, b.0))
+                })
+                .expect("persistent damage must quarantine, not kill the join");
                 got.sort_unstable();
                 assert_eq!(got, clean, "seed {seed} replicate {replicate} diverged");
                 if stats.quarantined_levels > 0 {
@@ -1466,8 +1449,10 @@ mod tests {
                 ..Default::default()
             };
             let mut got = Vec::new();
-            let stats = try_s3j_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
-                .expect("quarantine covers persistent damage");
+            let stats = try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| {
+                got.push((a.0, b.0))
+            })
+            .expect("quarantine covers persistent damage");
             got.sort_unstable();
             (got, stats)
         };
@@ -1482,15 +1467,16 @@ mod tests {
     #[test]
     fn rebuilt_level_matches_what_the_build_wrote() {
         use crate::levels::rebuild_level_sorted;
-        use storage::read_all;
+        use storage::try_read_all;
         let (r0, _) = tiger_pair(600);
         let r = scale(&r0, 3.0);
         for (replicate, shift) in [(false, 0u8), (true, 0), (true, 1)] {
             let disk = SimDisk::with_default_model();
-            let lf = LevelFiles::build(&disk, &r, 9, Curve::Peano, replicate, shift, 1);
+            let lf =
+                LevelFiles::try_build(&disk, &r, 9, Curve::Peano, replicate, shift, 1).unwrap();
             for level in lf.occupied_levels() {
                 let mut on_disk: Vec<LevelRecord> =
-                    read_all(&disk, lf.files[level as usize].unwrap(), 1);
+                    try_read_all(&disk, lf.files[level as usize].unwrap(), 1).unwrap();
                 on_disk.sort_by_key(|rec| rec.code);
                 let rebuilt =
                     rebuild_level_sorted(&r, level, 9, Curve::Peano, replicate, shift);
@@ -1510,8 +1496,15 @@ mod tests {
             FaultPlan::none(7).with_disk_budget(0),
             RetryPolicy::default(),
         );
-        let err = try_s3j_join(&disk, &r, &s, &S3jConfig::default(), &mut |_, _| {})
-            .expect_err("a zero-page volume cannot hold level files");
+        let err = try_s3j_join(
+            &disk,
+            &r,
+            &s,
+            &S3jConfig::default(),
+            &RunControl::none(),
+            &mut |_, _| {},
+        )
+        .expect_err("a zero-page volume cannot hold level files");
         assert_eq!(err.phase, "build");
         assert_eq!(err.io().expect("io-layer error").kind, IoErrorKind::DiskFull);
         assert_eq!(disk.pages_in_use(), 0, "failed build leaked files");
@@ -1638,7 +1631,15 @@ mod tests {
     fn stats_io_decomposition_adds_up() {
         let (r, s) = tiger_pair(1000);
         let disk = SimDisk::with_default_model();
-        let stats = s3j_join(&disk, &r, &s, &S3jConfig::default(), &mut |_, _| {});
+        let stats = try_s3j_join(
+            &disk,
+            &r,
+            &s,
+            &S3jConfig::default(),
+            &RunControl::none(),
+            &mut |_, _| {},
+        )
+        .unwrap();
         assert_eq!(stats.cost.io_total(), disk.stats());
         assert!(stats.cost.total_seconds() > 0.0);
         assert!(stats.peak_partition_bytes > 0);
@@ -1661,7 +1662,10 @@ mod tests {
                 ..Default::default()
             };
             let mut got = Vec::new();
-            let stats = s3j_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)));
+            let stats = try_s3j_join(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| {
+                got.push((a.0, b.0))
+            })
+            .unwrap();
             got.sort_unstable();
             (got, stats)
         };
@@ -1709,7 +1713,10 @@ mod rpm_unit_tests {
     fn run_cfg(r: &[Kpe], s: &[Kpe], cfg: &S3jConfig) -> (Vec<(u64, u64)>, S3jStats) {
         let disk = SimDisk::with_default_model();
         let mut got = Vec::new();
-        let st = s3j_join(&disk, r, s, cfg, &mut |a, b| got.push((a.0, b.0)));
+        let st = try_s3j_join(&disk, r, s, cfg, &RunControl::none(), &mut |a, b| {
+            got.push((a.0, b.0))
+        })
+        .unwrap();
         got.sort_unstable();
         (got, st)
     }

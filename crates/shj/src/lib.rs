@@ -31,7 +31,9 @@ use std::time::Instant;
 
 use geom::{Kpe, Rect, RecordId};
 use rand::prelude::*;
-use storage::{FileId, Phase, PhaseCost, RecordReader, RecordWriter, RunCost, SimDisk};
+use storage::{
+    try_read_all, FileId, IoError, JoinError, Phase, PhaseCost, RecordWriter, RunCost, SimDisk,
+};
 use sweep::{InternalAlgo, JoinCounters};
 
 /// SHJ tuning knobs.
@@ -98,13 +100,22 @@ impl ShjStats {
 /// Runs the spatial hash join `r ⋈ s` with `r` as the build (partitioned)
 /// relation and `s` as the probe (replicated) relation. Emits ordered
 /// `(r, s)` pairs, each exactly once — no duplicate elimination required.
-pub fn shj_join(
+///
+/// A zero memory budget is refused up front with a typed `setup` error
+/// ([`storage::IoErrorKind::Unsupported`]): the bucket count divides by it.
+/// A request that fails surfaces as a typed [`JoinError`] naming the phase
+/// (`"build"`, `"probe"` or `"join"`). SHJ has no degradation path: the
+/// first error ends the run.
+pub fn try_shj_join(
     disk: &SimDisk,
     r: &[Kpe],
     s: &[Kpe],
     cfg: &ShjConfig,
     out: &mut dyn FnMut(RecordId, RecordId),
-) -> ShjStats {
+) -> Result<ShjStats, JoinError> {
+    if cfg.mem_bytes == 0 {
+        return Err(JoinError::new("setup", IoError::unsupported()));
+    }
     let mut stats = ShjStats {
         buckets: 0,
         probe_copies: 0,
@@ -115,7 +126,7 @@ pub fn shj_join(
         cost: RunCost::new(disk.model(), &[Phase::Build, Phase::Probe, Phase::Join]),
     };
     if r.is_empty() || s.is_empty() {
-        return stats;
+        return Ok(stats);
     }
 
     // --- Phase 1+2: seeds, then partition the build relation ---------------
@@ -126,34 +137,30 @@ pub fn shj_join(
     stats.buckets = b;
     let seeds = pick_seeds(r, b as usize, cfg.samples_per_bucket, cfg.seed);
 
-    // The baseline deliberately uses the panicking storage wrappers
-    // (`push`/`finish`/`RecordReader::next`): SHJ does not opt into fault
-    // injection (`SpatialJoin::try_run` refuses the combination up front),
-    // so on a fault-free disk these calls cannot fail.
     let mut extents: Vec<Option<Rect>> = vec![None; b as usize];
-    let mut build_writers: Vec<RecordWriter<Kpe>> = (0..b)
-        .map(|_| RecordWriter::create(disk, cfg.bucket_buffer_pages))
-        .collect();
-    for k in r {
-        let c = k.rect.center();
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, seed) in seeds.iter().enumerate() {
-            let dx = c.x - seed.x;
-            let dy = c.y - seed.y;
-            let d = dx * dx + dy * dy;
-            if d < best_d {
-                best_d = d;
-                best = i;
+    let build_files = write_buckets(disk, b, cfg.bucket_buffer_pages, |writers| {
+        for k in r {
+            let c = k.rect.center();
+            let mut best = 0usize;
+            let mut best_d = f64::INFINITY;
+            for (i, seed) in seeds.iter().enumerate() {
+                let dx = c.x - seed.x;
+                let dy = c.y - seed.y;
+                let d = dx * dx + dy * dy;
+                if d < best_d {
+                    best_d = d;
+                    best = i;
+                }
             }
+            writers[best].try_push(k)?;
+            extents[best] = Some(match extents[best] {
+                Some(e) => e.union(&k.rect),
+                None => k.rect,
+            });
         }
-        build_writers[best].push(k);
-        extents[best] = Some(match extents[best] {
-            Some(e) => e.union(&k.rect),
-            None => k.rect,
-        });
-    }
-    let build_files: Vec<FileId> = build_writers.into_iter().map(|w| w.finish()).collect();
+        Ok(())
+    })
+    .map_err(|e| JoinError::new("build", e))?;
     stats.cost[Phase::Build] = PhaseCost {
         cpu: t0.elapsed().as_secs_f64(),
         io: disk.stats().delta(&io0),
@@ -162,25 +169,25 @@ pub fn shj_join(
     // --- Phase 3: replicate the probe relation into overlapping buckets ----
     let t1 = Instant::now();
     let io1 = disk.stats();
-    let mut probe_writers: Vec<RecordWriter<Kpe>> = (0..b)
-        .map(|_| RecordWriter::create(disk, cfg.bucket_buffer_pages))
-        .collect();
-    for k in s {
-        let mut hit = false;
-        for (i, extent) in extents.iter().enumerate() {
-            if let Some(e) = extent {
-                if e.intersects(&k.rect) {
-                    probe_writers[i].push(k);
-                    stats.probe_copies += 1;
-                    hit = true;
+    let probe_files = write_buckets(disk, b, cfg.bucket_buffer_pages, |writers| {
+        for k in s {
+            let mut hit = false;
+            for (i, extent) in extents.iter().enumerate() {
+                if let Some(e) = extent {
+                    if e.intersects(&k.rect) {
+                        writers[i].try_push(k)?;
+                        stats.probe_copies += 1;
+                        hit = true;
+                    }
                 }
             }
+            if !hit {
+                stats.probe_filtered += 1; // cannot join anything
+            }
         }
-        if !hit {
-            stats.probe_filtered += 1; // cannot join anything
-        }
-    }
-    let probe_files: Vec<FileId> = probe_writers.into_iter().map(|w| w.finish()).collect();
+        Ok(())
+    })
+    .map_err(|e| JoinError::new("probe", e))?;
     stats.cost[Phase::Probe] = PhaseCost {
         cpu: t1.elapsed().as_secs_f64(),
         io: disk.stats().delta(&io1),
@@ -190,27 +197,28 @@ pub fn shj_join(
     let t2 = Instant::now();
     let io2 = disk.stats();
     let mut internal = cfg.internal.create();
-    for (fb, fp) in build_files.iter().zip(&probe_files) {
-        let bytes = disk.len(*fb) + disk.len(*fp);
-        if bytes == 0 {
+    (|| -> Result<(), IoError> {
+        for (fb, fp) in build_files.iter().zip(&probe_files) {
+            let bytes = disk.try_len(*fb)? + disk.try_len(*fp)?;
+            if bytes > 0 {
+                if bytes as usize > cfg.mem_bytes {
+                    stats.overflowed_pairs += 1;
+                }
+                let mut rv = try_read_all::<Kpe>(disk, *fb, cfg.io_buffer_pages)?;
+                let mut sv = try_read_all::<Kpe>(disk, *fp, cfg.io_buffer_pages)?;
+                let mut results = 0u64;
+                internal.join(&mut rv, &mut sv, &mut |a, b| {
+                    results += 1;
+                    out(a.id, b.id);
+                });
+                stats.results += results;
+            }
             disk.delete(*fb);
             disk.delete(*fp);
-            continue;
         }
-        if bytes as usize > cfg.mem_bytes {
-            stats.overflowed_pairs += 1;
-        }
-        let mut rv: Vec<Kpe> = RecordReader::new(disk, *fb, cfg.io_buffer_pages).collect();
-        let mut sv: Vec<Kpe> = RecordReader::new(disk, *fp, cfg.io_buffer_pages).collect();
-        let mut results = 0u64;
-        internal.join(&mut rv, &mut sv, &mut |a, b| {
-            results += 1;
-            out(a.id, b.id);
-        });
-        stats.results += results;
-        disk.delete(*fb);
-        disk.delete(*fp);
-    }
+        Ok(())
+    })()
+    .map_err(|e| JoinError::new("join", e))?;
     stats.join_counters = internal.counters();
     stats.cost[Phase::Join] = PhaseCost {
         cpu: t2.elapsed().as_secs_f64(),
@@ -218,7 +226,22 @@ pub fn shj_join(
     };
     // All bucket files are untagged: the whole run rides the shared lane.
     stats.cost.io_shared = stats.cost.io_total();
-    stats
+    Ok(stats)
+}
+
+/// Creates `buckets` bucket files, lets `fill` push records into their
+/// writers and flushes them.
+fn write_buckets(
+    disk: &SimDisk,
+    buckets: u32,
+    buffer_pages: usize,
+    fill: impl FnOnce(&mut [RecordWriter<Kpe>]) -> Result<(), IoError>,
+) -> Result<Vec<FileId>, IoError> {
+    let mut writers: Vec<RecordWriter<Kpe>> = (0..buckets)
+        .map(|_| RecordWriter::create(disk, buffer_pages))
+        .collect();
+    fill(&mut writers)?;
+    writers.into_iter().map(RecordWriter::try_finish).collect()
 }
 
 /// Z-order-spread seed centres from a random sample of the build relation.
@@ -275,7 +298,7 @@ mod tests {
     fn run(r: &[Kpe], s: &[Kpe], cfg: &ShjConfig) -> (Vec<(u64, u64)>, ShjStats) {
         let disk = SimDisk::with_default_model();
         let mut got = Vec::new();
-        let st = shj_join(&disk, r, s, cfg, &mut |a, b| got.push((a.0, b.0)));
+        let st = try_shj_join(&disk, r, s, cfg, &mut |a, b| got.push((a.0, b.0))).unwrap();
         got.sort_unstable();
         (got, st)
     }
@@ -390,7 +413,7 @@ mod tests {
             mem_bytes: 16 * 1024,
             ..Default::default()
         };
-        let st = shj_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let st = try_shj_join(&disk, &r, &s, &cfg, &mut |_, _| {}).unwrap();
         assert_eq!(st.cost.io_total(), disk.stats());
         // Build side written once, never replicated.
         assert_eq!(

@@ -23,7 +23,7 @@
 //! | `draining`        | server is shutting down, not accepting joins       |
 
 use spatialjoin::estimate::PlanChoice;
-use spatialjoin::{Algorithm, CrashPoint, InternalAlgo};
+use spatialjoin::{Algorithm, CrashPoint, DiskModel, InternalAlgo};
 
 use crate::json::{escape, Json};
 
@@ -135,8 +135,13 @@ impl JoinRequest {
             }
         };
         let mem_mb = opt_f64("mem_mb")?.unwrap_or(1.0);
-        if mem_mb <= 0.0 || mem_mb > 16_384.0 {
-            return Err("mem_mb must be in (0, 16384]".to_owned());
+        // At least one disk page: a smaller budget truncates to a useless
+        // (or zero) byte count that the partitioning formula divides by.
+        let min_mb = DiskModel::default().page_size as f64 / (1024.0 * 1024.0);
+        if !(min_mb..=16_384.0).contains(&mem_mb) {
+            return Err(format!(
+                "mem_mb must be in [{min_mb}, 16384] (at least one disk page)"
+            ));
         }
         let plan = match v.get("plan") {
             None | Some(Json::Null) => false,
@@ -304,6 +309,10 @@ mod tests {
         assert!(parse(r#"{"cmd":"join","left":"a"}"#).is_err()); // missing right
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","algo":"nope"}"#).is_err());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":0}"#).is_err());
+        // Below one 8 KiB page; the smallest accepted budget is one page.
+        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":1e-9}"#).is_err());
+        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":0.0078}"#).is_err());
+        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":0.0078125}"#).is_ok());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","deadline":-1}"#).is_err());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-nothing"}"#).is_err());
         // Non-checkpointable algorithms cannot serve reuse or crash modes.

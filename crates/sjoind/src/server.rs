@@ -688,33 +688,28 @@ fn run_streaming(
     right: &Arc<Vec<Kpe>>,
 ) -> Outcome {
     // A planner-selected choice carries knobs (tile count, buffer split)
-    // the algorithm name alone cannot; materialise it directly.
-    let planned = jr
-        .chosen_choice
-        .as_ref()
-        .and_then(exec::JoinAlgorithm::from_choice)
-        .map(|a| a.with_threads(jr.threads));
-    let exec_algo = match planned {
-        Some(a) => a,
-        None => {
-            let algo = match proto::algorithm(&jr.algo, jr.mem_bytes, jr.threads) {
-                Ok(a) => a,
-                Err(e) => {
-                    let _ = send(out, &proto::error_line("bad_request", &e, &[]));
-                    return Outcome::Failed;
-                }
-            };
-            match algo {
-                Algorithm::Pbsm(cfg) => exec::JoinAlgorithm::Pbsm(cfg),
-                Algorithm::S3j(cfg) => exec::JoinAlgorithm::S3j(cfg),
-                _ => {
-                    let _ = send(
-                        out,
-                        &proto::error_line("unsupported", "algorithm cannot stream", &[]),
-                    );
-                    return Outcome::Failed;
-                }
+    // the algorithm name alone cannot; materialise it directly. The session
+    // plans streaming joins in `PlanSpace::Streamable`, so a choice always
+    // maps onto PBSM or S³J.
+    let algo = match &jr.chosen_choice {
+        Some(choice) => Algorithm::from_choice(choice).with_threads(jr.threads),
+        None => match proto::algorithm(&jr.algo, jr.mem_bytes, jr.threads) {
+            Ok(a) => a,
+            Err(e) => {
+                let _ = send(out, &proto::error_line("bad_request", &e, &[]));
+                return Outcome::Failed;
             }
+        },
+    };
+    let exec_algo = match algo {
+        Algorithm::Pbsm(cfg) => exec::JoinAlgorithm::Pbsm(cfg),
+        Algorithm::S3j(cfg) => exec::JoinAlgorithm::S3j(cfg),
+        _ => {
+            let _ = send(
+                out,
+                &proto::error_line("unsupported", "algorithm cannot stream", &[]),
+            );
+            return Outcome::Failed;
         }
     };
     let model = DiskModel {

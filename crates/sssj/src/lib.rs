@@ -18,7 +18,10 @@
 use std::time::Instant;
 
 use geom::{Kpe, RecordId};
-use storage::{external_sort_slice, Phase, PhaseCost, RecordReader, RunCost, SimDisk, SortStats};
+use storage::{
+    try_external_sort_slice, IoError, JoinError, Phase, PhaseCost, RecordReader, RunCost, SimDisk,
+    SortStats,
+};
 use sweep::JoinCounters;
 
 /// SSSJ tuning knobs.
@@ -57,13 +60,17 @@ pub struct SssjStats {
 
 /// Runs SSSJ on `r ⋈ s`, invoking `out` for every result pair (exactly
 /// once; ordered `(r, s)` orientation).
-pub fn sssj_join(
+///
+/// A request that fails surfaces as a typed [`JoinError`] naming the phase
+/// (`"sort"` or `"join"`), after the sorted run files have been deleted.
+/// SSSJ has no degradation path: the first error ends the run.
+pub fn try_sssj_join(
     disk: &SimDisk,
     r: &[Kpe],
     s: &[Kpe],
     cfg: &SssjConfig,
     out: &mut dyn FnMut(RecordId, RecordId),
-) -> SssjStats {
+) -> Result<SssjStats, JoinError> {
     let run_start = Instant::now();
     let io0 = disk.stats();
     let key = |k: &Kpe| ordered_f64(k.rect.xl);
@@ -86,12 +93,12 @@ pub fn sssj_join(
             SortStats { runs: 1, merge_passes: 0 },
         )
     } else {
-        // The baseline deliberately uses the panicking storage wrappers:
-        // SSSJ does not opt into fault injection (`SpatialJoin::try_run`
-        // refuses the combination up front), so on a fault-free disk these
-        // calls cannot fail.
-        let (fr, st_r) = external_sort_slice::<Kpe, _, _>(disk, r, cfg.mem_bytes / 2, key);
-        let (fs, st_s) = external_sort_slice::<Kpe, _, _>(disk, s, cfg.mem_bytes / 2, key);
+        let sort = |data| {
+            try_external_sort_slice::<Kpe, _, _>(disk, data, cfg.mem_bytes / 2, key)
+                .map_err(|e| JoinError::new("sort", e))
+        };
+        let (fr, st_r) = sort(r)?;
+        let (fs, st_s) = sort(s).inspect_err(|_| disk.delete(fr))?;
         (Sorted::Disk(fr), Sorted::Disk(fs), st_r, st_s)
     };
     let mut cost = RunCost::new(disk.model(), &[Phase::Sort, Phase::Join]);
@@ -105,7 +112,7 @@ pub fn sssj_join(
     let io1 = disk.stats();
     let mut counters = JoinCounters::default();
     let mut peak_status = 0usize;
-    {
+    let swept = {
         let mut emit = |a: RecordId, b: RecordId| {
             if cost.first.is_none() {
                 cost.first = Some((run_start.elapsed().as_secs_f64(), disk.stats()));
@@ -114,57 +121,65 @@ pub fn sssj_join(
         };
         match (&sorted_r, &sorted_s) {
             (Sorted::Mem(rv), Sorted::Mem(sv)) => sweep(
-                rv.iter().copied(),
-                sv.iter().copied(),
+                rv.iter().copied().map(Ok),
+                sv.iter().copied().map(Ok),
                 &mut counters,
                 &mut peak_status,
                 &mut emit,
             ),
-            (Sorted::Disk(fr), Sorted::Disk(fs)) => sweep(
-                RecordReader::<Kpe>::new(disk, *fr, cfg.io_buffer_pages),
-                RecordReader::<Kpe>::new(disk, *fs, cfg.io_buffer_pages),
-                &mut counters,
-                &mut peak_status,
-                &mut emit,
-            ),
+            (Sorted::Disk(fr), Sorted::Disk(fs)) => {
+                let open = |f| RecordReader::<Kpe>::new(disk, f, cfg.io_buffer_pages);
+                open(*fr).and_then(|mut rr| {
+                    let mut rs = open(*fs)?;
+                    sweep(
+                        std::iter::from_fn(|| rr.try_next().transpose()),
+                        std::iter::from_fn(|| rs.try_next().transpose()),
+                        &mut counters,
+                        &mut peak_status,
+                        &mut emit,
+                    )
+                })
+            }
             _ => unreachable!("both relations take the same path"),
         }
-    }
+    };
     if let Sorted::Disk(f) = sorted_r {
         disk.delete(f);
     }
     if let Sorted::Disk(f) = sorted_s {
         disk.delete(f);
     }
+    swept.map_err(|e| JoinError::new("join", e))?;
 
     cost[Phase::Join] = PhaseCost {
         cpu: t1.elapsed().as_secs_f64(),
         io: disk.stats().delta(&io1),
     };
     cost.io_shared = cost.io_total();
-    SssjStats {
+    Ok(SssjStats {
         results: counters.results,
         join_counters: counters,
         sort_r,
         sort_s,
         peak_status,
         cost,
-    }
+    })
 }
 
 /// The external plane sweep over two `xl`-sorted streams: active lists with
-/// lazy deletion; each intersecting pair reported exactly once.
+/// lazy deletion; each intersecting pair reported exactly once. A stream
+/// that fails ends the sweep with its error.
 fn sweep(
-    mut rs: impl Iterator<Item = Kpe>,
-    mut ss: impl Iterator<Item = Kpe>,
+    mut rs: impl Iterator<Item = Result<Kpe, IoError>>,
+    mut ss: impl Iterator<Item = Result<Kpe, IoError>>,
     counters: &mut JoinCounters,
     peak_status: &mut usize,
     emit: &mut dyn FnMut(RecordId, RecordId),
-) {
+) -> Result<(), IoError> {
     let mut active_r: Vec<Kpe> = Vec::new();
     let mut active_s: Vec<Kpe> = Vec::new();
-    let mut nr = rs.next();
-    let mut ns = ss.next();
+    let mut nr = rs.next().transpose()?;
+    let mut ns = ss.next().transpose()?;
     while nr.is_some() || ns.is_some() {
         let take_r = match (&nr, &ns) {
             (Some(a), Some(b)) => a.rect.xl <= b.rect.xl,
@@ -174,19 +189,20 @@ fn sweep(
         if take_r {
             // Invariant: `take_r` is only true when `nr` is `Some`.
             let cur = nr.take().expect("take_r implies nr is Some");
-            nr = rs.next();
+            nr = rs.next().transpose()?;
             sweep_step(&cur, &mut active_s, counters, &mut |b| emit(cur.id, b.id));
             active_r.push(cur);
         } else {
             // Invariant: the loop condition guarantees `ns` is `Some` when
             // `take_r` is false (both-None ends the loop, r-only sets it).
             let cur = ns.take().expect("!take_r implies ns is Some");
-            ns = ss.next();
+            ns = ss.next().transpose()?;
             sweep_step(&cur, &mut active_r, counters, &mut |a| emit(a.id, cur.id));
             active_s.push(cur);
         }
         *peak_status = (*peak_status).max(active_r.len() + active_s.len());
     }
+    Ok(())
 }
 
 /// Tests `cur` against the other relation's active list, lazily evicting
@@ -260,9 +276,10 @@ mod tests {
         let s = tiger(2200, 2);
         let disk = SimDisk::with_default_model();
         let mut got = Vec::new();
-        let stats = sssj_join(&disk, &r, &s, &SssjConfig::default(), &mut |a, b| {
+        let stats = try_sssj_join(&disk, &r, &s, &SssjConfig::default(), &mut |a, b| {
             got.push((a.0, b.0))
-        });
+        })
+        .unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&r, &s));
         assert_eq!(stats.results as usize, got.len());
@@ -279,7 +296,7 @@ mod tests {
             ..Default::default()
         };
         let mut got = Vec::new();
-        let stats = sssj_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)));
+        let stats = try_sssj_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0))).unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&r, &s));
         assert!(stats.sort_r.runs > 1);
@@ -296,9 +313,10 @@ mod tests {
         ];
         let disk = SimDisk::with_default_model();
         let mut got = Vec::new();
-        sssj_join(&disk, &r, &r, &SssjConfig::default(), &mut |a, b| {
+        try_sssj_join(&disk, &r, &r, &SssjConfig::default(), &mut |a, b| {
             got.push((a.0, b.0))
-        });
+        })
+        .unwrap();
         got.sort_unstable();
         assert_eq!(got, brute(&r, &r));
     }
@@ -312,7 +330,7 @@ mod tests {
             mem_bytes: 32 * 1024,
             ..Default::default()
         };
-        let stats = sssj_join(&disk, &r, &s, &cfg, &mut |_, _| {});
+        let stats = try_sssj_join(&disk, &r, &s, &cfg, &mut |_, _| {}).unwrap();
         let first_io = stats.cost.first.expect("has results").1;
         // Blocking: all sort I/O is already on the meter at first result.
         assert!(first_io.pages_written >= stats.cost[Phase::Sort].io.pages_written);
@@ -322,9 +340,10 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let disk = SimDisk::with_default_model();
-        let stats = sssj_join(&disk, &[], &[], &SssjConfig::default(), &mut |_, _| {
+        let stats = try_sssj_join(&disk, &[], &[], &SssjConfig::default(), &mut |_, _| {
             panic!("no results expected")
-        });
+        })
+        .unwrap();
         assert_eq!(stats.results, 0);
         assert!(stats.cost.first_result_seconds().is_none());
     }
@@ -333,7 +352,7 @@ mod tests {
     fn sweep_peak_status_is_tracked() {
         let r = tiger(1000, 7);
         let disk = SimDisk::with_default_model();
-        let stats = sssj_join(&disk, &r, &r, &SssjConfig::default(), &mut |_, _| {});
+        let stats = try_sssj_join(&disk, &r, &r, &SssjConfig::default(), &mut |_, _| {}).unwrap();
         assert!(stats.peak_status > 0);
         assert!(stats.peak_status <= 2 * r.len());
     }

@@ -365,7 +365,6 @@ impl MemoryArbiter {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -360,14 +360,12 @@ impl FaultState {
 /// the simulation itself is not a benchmark target, the *counters* are.
 ///
 /// Fault injection: [`SimDisk::with_faults`] attaches a seeded [`FaultPlan`]
-/// and a [`RetryPolicy`]. The fallible entry points ([`SimDisk::try_read`],
-/// [`SimDisk::try_append`], [`SimDisk::try_len`]) retry injected failures
-/// per the policy, charging every attempt plus backoff to the meter, and
-/// surface a typed [`IoError`] only once the budget is exhausted. The
-/// infallible `read`/`append`/`len` wrappers keep their historic signatures:
-/// they still succeed under recoverable plans (retries happen inside) and
-/// panic with the typed error's message otherwise — legacy callers that
-/// never attach a plan are unaffected.
+/// and a [`RetryPolicy`]. Every request is fallible: [`SimDisk::try_read`]
+/// and [`SimDisk::try_append`] retry injected failures per the policy,
+/// charging every attempt plus backoff to the meter, and surface a typed
+/// [`IoError`] only once the budget is exhausted; [`SimDisk::try_len`] is a
+/// fault-exempt metadata lookup that fails only on a deleted file. Without a
+/// plan, only a deleted file or an out-of-range read can fail.
 #[derive(Clone)]
 pub struct SimDisk {
     files: Arc<Mutex<Vec<Option<StoredFile>>>>,
@@ -776,18 +774,6 @@ impl SimDisk {
         }
     }
 
-    /// Length of a file in bytes. Panics if the file was deleted — use
-    /// [`SimDisk::try_len`] to handle that as a typed error.
-    pub fn len(&self, f: FileId) -> u64 {
-        self.try_len(f)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
-    /// `true` iff the file holds no bytes.
-    pub fn is_empty(&self, f: FileId) -> bool {
-        self.len(f) == 0
-    }
-
     /// Appends `data` as **one** request: cost `PT + ceil(len / page_size)`
     /// per attempt. Injected write faults (transient, torn) persist nothing
     /// — the write is atomic — and are retried per the [`RetryPolicy`],
@@ -884,13 +870,6 @@ impl SimDisk {
                 }
             }
         }
-    }
-
-    /// Infallible wrapper over [`SimDisk::try_append`]; panics with the
-    /// typed error's message if the request cannot be satisfied.
-    pub fn append(&self, f: FileId, data: &[u8]) {
-        self.try_append(f, data)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
     }
 
     /// Reads `out.len()` bytes starting at byte `offset` as **one** request:
@@ -1018,13 +997,6 @@ impl SimDisk {
         }
     }
 
-    /// Infallible wrapper over [`SimDisk::try_read`]; panics with the typed
-    /// error's message if the request cannot be satisfied.
-    pub fn read(&self, f: FileId, offset: u64, out: &mut [u8]) {
-        self.try_read(f, offset, out)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
     /// Snapshot of the cumulative counters: the sum over every meter
     /// bucket, i.e. the historic single-meter view.
     pub fn stats(&self) -> IoStats {
@@ -1086,7 +1058,6 @@ impl SimDisk {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -1105,10 +1076,10 @@ mod tests {
     fn append_and_read_roundtrip() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, b"hello world, this spans pages!");
-        assert_eq!(d.len(f), 30);
+        d.try_append(f, b"hello world, this spans pages!").unwrap();
+        assert_eq!(d.try_len(f).unwrap(), 30);
         let mut buf = vec![0u8; 11];
-        d.read(f, 6, &mut buf);
+        d.try_read(f, 6, &mut buf).unwrap();
         assert_eq!(&buf, b"world, this");
     }
 
@@ -1116,7 +1087,7 @@ mod tests {
     fn cost_model_pt_plus_n() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, &[0u8; 40]); // 3 pages, 1 request
+        d.try_append(f, &[0u8; 40]).unwrap(); // 3 pages, 1 request
         let s = d.stats();
         assert_eq!(s.write_requests, 1);
         assert_eq!(s.pages_written, 3);
@@ -1129,16 +1100,16 @@ mod tests {
     fn read_counts_pages_touched_not_bytes() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, &[7u8; 64]);
+        d.try_append(f, &[7u8; 64]).unwrap();
         d.reset_stats();
         // 2 bytes straddling a page boundary touch 2 pages.
         let mut b = [0u8; 2];
-        d.read(f, 15, &mut b);
+        d.try_read(f, 15, &mut b).unwrap();
         let s = d.stats();
         assert_eq!(s.read_requests, 1);
         assert_eq!(s.pages_read, 2);
         // Within one page: 1 page.
-        d.read(f, 0, &mut b);
+        d.try_read(f, 0, &mut b).unwrap();
         assert_eq!(d.stats().pages_read, 3);
     }
 
@@ -1146,12 +1117,12 @@ mod tests {
     fn one_big_request_cheaper_than_many_small() {
         let d = small_disk();
         let f1 = d.create();
-        d.append(f1, &[0u8; 160]); // 10 pages in one request: PT + 10 = 20
+        d.try_append(f1, &[0u8; 160]).unwrap(); // 10 pages in one request: PT + 10 = 20
         let one = d.model().units(&d.stats());
         d.reset_stats();
         let f2 = d.create();
         for _ in 0..10 {
-            d.append(f2, &[0u8; 16]); // 10 requests: 10*(PT + 1) = 110
+            d.try_append(f2, &[0u8; 16]).unwrap(); // 10 requests: 10*(PT + 1) = 110
         }
         let many = d.model().units(&d.stats());
         assert!(one < many);
@@ -1162,20 +1133,20 @@ mod tests {
     fn delete_then_recreate_is_independent() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, b"abc");
+        d.try_append(f, b"abc").unwrap();
         d.delete(f);
         let g = d.create();
         assert_ne!(f, g);
-        assert_eq!(d.len(g), 0);
+        assert_eq!(d.try_len(g).unwrap(), 0);
     }
 
     #[test]
     fn stats_delta_and_plus() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, &[0u8; 16]);
+        d.try_append(f, &[0u8; 16]).unwrap();
         let snap = d.stats();
-        d.append(f, &[0u8; 32]);
+        d.try_append(f, &[0u8; 32]).unwrap();
         let delta = d.stats().delta(&snap);
         assert_eq!(delta.write_requests, 1);
         assert_eq!(delta.pages_written, 2);
@@ -1187,17 +1158,17 @@ mod tests {
     fn fork_shares_files_but_not_counters() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, &[0u8; 16]);
+        d.try_append(f, &[0u8; 16]).unwrap();
         let fork = d.fork_counters();
         // Fork starts with a clean meter but sees the shared file.
         assert_eq!(fork.stats(), IoStats::default());
-        assert_eq!(fork.len(f), 16);
+        assert_eq!(fork.try_len(f).unwrap(), 16);
         // Work through the fork is metered on the fork only...
-        fork.append(f, &[0u8; 32]);
+        fork.try_append(f, &[0u8; 32]).unwrap();
         assert_eq!(fork.stats().pages_written, 2);
         assert_eq!(d.stats().pages_written, 1);
         // ...but the bytes land in the shared store.
-        assert_eq!(d.len(f), 48);
+        assert_eq!(d.try_len(f).unwrap(), 48);
         // Merging the fork back restores the single-meter view.
         d.add_stats(&fork.stats());
         assert_eq!(d.stats().pages_written, 3);
@@ -1212,9 +1183,9 @@ mod tests {
     fn empty_operations_are_free() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, &[]);
+        d.try_append(f, &[]).unwrap();
         let mut empty: [u8; 0] = [];
-        d.read(f, 0, &mut empty);
+        d.try_read(f, 0, &mut empty).unwrap();
         assert_eq!(d.stats(), IoStats::default());
     }
 
@@ -1222,19 +1193,19 @@ mod tests {
     fn truncate_shrinks_and_keeps_checksums_consistent() {
         let d = small_disk();
         let f = d.create();
-        d.append(f, &(0..40u8).collect::<Vec<u8>>()); // 2.5 pages
+        d.try_append(f, &(0..40u8).collect::<Vec<u8>>()).unwrap(); // 2.5 pages
         d.try_truncate(f, 20).unwrap();
-        assert_eq!(d.len(f), 20);
+        assert_eq!(d.try_len(f).unwrap(), 20);
         // The now-partial last page must still verify on read.
         let mut out = vec![0u8; 20];
         d.try_read(f, 0, &mut out).unwrap();
         assert_eq!(out, (0..20u8).collect::<Vec<u8>>());
         // Growing truncate is a no-op; appending after truncate works.
         d.try_truncate(f, 100).unwrap();
-        assert_eq!(d.len(f), 20);
-        d.append(f, &[99u8; 4]);
+        assert_eq!(d.try_len(f).unwrap(), 20);
+        d.try_append(f, &[99u8; 4]).unwrap();
         let mut tail = [0u8; 4];
-        d.read(f, 20, &mut tail);
+        d.try_read(f, 20, &mut tail).unwrap();
         assert_eq!(tail, [99u8; 4]);
         d.delete(f);
         assert_eq!(
@@ -1261,8 +1232,8 @@ mod tests {
         let a = d.create();
         let b = d.create();
         let c = d.create();
-        d.append(a, b"alpha");
-        d.append(c, &[3u8; 40]);
+        d.try_append(a, b"alpha").unwrap();
+        d.try_append(c, &[3u8; 40]).unwrap();
         d.delete(b);
         let snap = d.export_files();
 
@@ -1302,9 +1273,9 @@ mod tests {
         assert_eq!(d.file_channel(shared), None);
         assert_eq!(d.file_channel(a), Some(0));
         assert_eq!(d.file_channel(b), Some(5));
-        d.append(shared, &[0u8; 16]);
-        d.append(a, &[0u8; 32]);
-        d.append(b, &[0u8; 48]);
+        d.try_append(shared, &[0u8; 16]).unwrap();
+        d.try_append(a, &[0u8; 32]).unwrap();
+        d.try_append(b, &[0u8; 48]).unwrap();
         let buckets = d.channel_stats();
         assert_eq!(buckets.len(), 3);
         assert_eq!(buckets[0].pages_written, 1);
@@ -1324,9 +1295,9 @@ mod tests {
             let d = channelled_disk(channels);
             for pid in 0..6u64 {
                 let f = d.create_on(pid);
-                d.append(f, &[pid as u8; 40]);
+                d.try_append(f, &[pid as u8; 40]).unwrap();
                 let mut out = [0u8; 40];
-                d.read(f, 0, &mut out);
+                d.try_read(f, 0, &mut out).unwrap();
             }
             (d.stats(), d.channel_stats())
         };
@@ -1347,9 +1318,9 @@ mod tests {
         let shared = d.create();
         let a = d.create_on(0);
         let b = d.create_on(1);
-        d.append(shared, &[0u8; 16]); // PT + 1 = 11 units
-        d.append(a, &[0u8; 32]); // 12 units
-        d.append(b, &[0u8; 64]); // 14 units (busiest)
+        d.try_append(shared, &[0u8; 16]).unwrap(); // PT + 1 = 11 units
+        d.try_append(a, &[0u8; 32]).unwrap(); // 12 units
+        d.try_append(b, &[0u8; 64]).unwrap(); // 14 units (busiest)
         let m = d.model();
         let buckets = d.channel_stats();
         let par = m.parallel_io_seconds(&buckets[0], &buckets[1..]);
@@ -1365,10 +1336,10 @@ mod tests {
         let d = SimDisk::with_default_model();
         let f = d.create_on(3);
         let g = d.create();
-        d.append(f, &[1u8; 100_000]);
-        d.append(g, &[2u8; 30_000]);
+        d.try_append(f, &[1u8; 100_000]).unwrap();
+        d.try_append(g, &[2u8; 30_000]).unwrap();
         let mut out = vec![0u8; 50_000];
-        d.read(f, 0, &mut out);
+        d.try_read(f, 0, &mut out).unwrap();
         let m = d.model();
         let buckets = d.channel_stats();
         let par = m.parallel_io_seconds(&buckets[0], &buckets[1..]);
@@ -1407,8 +1378,8 @@ mod tests {
         let d = channelled_disk(4);
         let a = d.create_on(7);
         let b = d.create();
-        d.append(a, b"tagged");
-        d.append(b, b"shared");
+        d.try_append(a, b"tagged").unwrap();
+        d.try_append(b, b"shared").unwrap();
         let snap = d.export_files();
         let e = channelled_disk(4);
         e.restore_files(&snap).unwrap();
@@ -1436,7 +1407,7 @@ mod tests {
         let d = channelled_disk(2);
         d.restore_files(&snap).unwrap();
         let f = FileId::from_raw(0);
-        assert_eq!(d.len(f), 3);
+        assert_eq!(d.try_len(f).unwrap(), 3);
         assert_eq!(d.file_channel(f), None);
     }
 
@@ -1445,9 +1416,9 @@ mod tests {
         let d = channelled_disk(2);
         let fork = d.fork_counters();
         let f = fork.create_on(1);
-        fork.append(f, &[0u8; 32]);
+        fork.try_append(f, &[0u8; 32]).unwrap();
         let g = fork.create();
-        fork.append(g, &[0u8; 16]);
+        fork.try_append(g, &[0u8; 16]).unwrap();
         d.add_channel_stats(&fork.channel_stats());
         let buckets = d.channel_stats();
         assert_eq!(buckets[0].pages_written, 1);
@@ -1457,7 +1428,6 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod failure_tests {
     use super::*;
 
@@ -1473,36 +1443,6 @@ mod failure_tests {
     }
 
     #[test]
-    #[should_panic(expected = "past end of file")]
-    fn read_past_end_of_file_panics() {
-        let d = disk();
-        let f = d.create();
-        d.append(f, &[1u8; 8]);
-        let mut out = [0u8; 16];
-        d.read(f, 0, &mut out); // only 8 bytes exist
-    }
-
-    #[test]
-    #[should_panic(expected = "file was deleted")]
-    fn read_from_deleted_file_panics() {
-        let d = disk();
-        let f = d.create();
-        d.append(f, &[1u8; 16]);
-        d.delete(f);
-        let mut out = [0u8; 4];
-        d.read(f, 0, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "file was deleted")]
-    fn append_to_deleted_file_panics() {
-        let d = disk();
-        let f = d.create();
-        d.delete(f);
-        d.append(f, &[0u8; 4]);
-    }
-
-    #[test]
     fn double_delete_is_idempotent() {
         let d = disk();
         let f = d.create();
@@ -1514,7 +1454,7 @@ mod failure_tests {
     fn typed_errors_from_try_apis() {
         let d = disk();
         let f = d.create();
-        d.append(f, &[1u8; 8]);
+        d.try_append(f, &[1u8; 8]).unwrap();
         let mut out = [0u8; 16];
         let e = d.try_read(f, 0, &mut out).unwrap_err();
         assert_eq!(e.kind, IoErrorKind::OutOfBounds);
@@ -1528,7 +1468,6 @@ mod failure_tests {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod fault_tests {
     use super::*;
 
@@ -1612,7 +1551,7 @@ mod fault_tests {
             degraded_channel: None,
         });
         let f = d.create();
-        d.append(f, &[7u8; 32]);
+        d.try_append(f, &[7u8; 32]).unwrap();
         let d = d.with_faults(plan, RetryPolicy::default());
         let mut out = [0u8; 32];
         d.try_read(f, 0, &mut out).expect("re-read is clean");
@@ -1750,7 +1689,7 @@ mod fault_tests {
         assert_eq!(s.pages_written, before.pages_written);
         assert_eq!(s.backoff_units, before.backoff_units);
         assert_eq!(s.faults_injected, before.faults_injected + 1);
-        assert_eq!(d.len(f), 64, "failed append persisted nothing");
+        assert_eq!(d.try_len(f).unwrap(), 64, "failed append persisted nothing");
         // Freeing space makes writes succeed again.
         d.delete(f);
         assert_eq!(d.pages_in_use(), 0);
@@ -1778,8 +1717,8 @@ mod fault_tests {
             }
             let a = d.create_on(0);
             let b = d.create_on(1);
-            d.append(a, &[0u8; 32]);
-            d.append(b, &[0u8; 32]);
+            d.try_append(a, &[0u8; 32]).unwrap();
+            d.try_append(b, &[0u8; 32]).unwrap();
             let m = d.model();
             let buckets = d.channel_stats();
             let par = m.parallel_io_seconds(&buckets[0], &buckets[1..]);
@@ -1814,8 +1753,8 @@ mod fault_tests {
         let d = SimDisk::with_default_model();
         let a = d.create_spare_on(2);
         let b = d.create_on(2);
-        d.append(a, b"spare");
-        d.append(b, b"plain");
+        d.try_append(a, b"spare").unwrap();
+        d.try_append(b, b"plain").unwrap();
         let snap = d.export_files();
         let e = SimDisk::with_default_model();
         e.restore_files(&snap).unwrap();
@@ -1831,9 +1770,9 @@ mod fault_tests {
     fn fault_free_disk_keeps_retry_counters_zero() {
         let d = SimDisk::with_default_model();
         let f = d.create();
-        d.append(f, &[0u8; 1024]);
+        d.try_append(f, &[0u8; 1024]).unwrap();
         let mut out = [0u8; 1024];
-        d.read(f, 0, &mut out);
+        d.try_read(f, 0, &mut out).unwrap();
         let s = d.stats();
         assert_eq!(s.faults_injected, 0);
         assert_eq!(s.read_retries, 0);

@@ -61,9 +61,11 @@ pub enum IoErrorKind {
     FileDeleted,
     /// The byte range extends past the end of the file.
     OutOfBounds,
-    /// The operation does not support the requested fault configuration
-    /// (e.g. fault injection requested for an algorithm that runs fully
-    /// in memory).
+    /// A refused configuration rather than a failed request: fault
+    /// injection, cancellation or a deadline on a baseline without a
+    /// fallible path; a checkpoint the algorithm cannot resume or whose
+    /// fingerprint does not match; a zero memory budget; a negative or NaN
+    /// distance; inputs over the quadtree's budget; a malformed snapshot.
     Unsupported,
     /// A damaged sector: every re-read of the page fails the checksum, no
     /// matter how many retries are spent. The data is only recoverable by
@@ -106,7 +108,7 @@ impl IoErrorKind {
             IoErrorKind::ChecksumMismatch => "page checksum mismatch",
             IoErrorKind::FileDeleted => "file was deleted",
             IoErrorKind::OutOfBounds => "request extends past end of file",
-            IoErrorKind::Unsupported => "operation unsupported under fault injection",
+            IoErrorKind::Unsupported => "unsupported configuration",
             IoErrorKind::PersistentCorruption => {
                 "persistent media corruption (re-reads cannot cure a damaged sector)"
             }
@@ -144,6 +146,10 @@ impl IoError {
 
 impl std::fmt::Display for IoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // A refusal names no request, so its sentinel coordinates are noise.
+        if self.kind == IoErrorKind::Unsupported {
+            return f.write_str(self.kind.describe());
+        }
         write!(
             f,
             "{} ({:?}, offset {}, len {}, {} attempt{})",
@@ -604,7 +610,6 @@ impl FaultPlan {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -707,6 +712,12 @@ mod tests {
             "{s}"
         );
         assert_eq!(j.io(), Some(&last));
+    }
+
+    #[test]
+    fn a_refusal_prints_no_request_coordinates() {
+        let s = JoinError::new("setup", IoError::unsupported()).to_string();
+        assert_eq!(s, "join failed in phase `setup`: unsupported configuration");
     }
 
     #[test]

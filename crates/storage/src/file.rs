@@ -58,13 +58,6 @@ impl FileWriter {
         Ok(())
     }
 
-    /// Infallible wrapper over [`FileWriter::try_write`]; panics with the
-    /// typed error's message if the flush cannot be satisfied.
-    pub fn write(&mut self, data: &[u8]) {
-        self.try_write(data)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
     /// Flushes any buffered bytes and returns the file handle.
     pub fn try_finish(mut self) -> Result<FileId, IoError> {
         if !self.buf.is_empty() {
@@ -74,11 +67,6 @@ impl FileWriter {
         Ok(self.file)
     }
 
-    /// Infallible wrapper over [`FileWriter::try_finish`].
-    pub fn finish(self) -> FileId {
-        self.try_finish()
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
 }
 
 /// Buffered sequential byte source over a byte range of a [`SimDisk`] file.
@@ -97,10 +85,10 @@ pub struct FileReader {
 }
 
 impl FileReader {
-    /// Reads the whole file.
-    pub fn new(disk: &SimDisk, file: FileId, buffer_pages: usize) -> Self {
-        let end = disk.len(file);
-        Self::with_range(disk, file, 0, end, buffer_pages)
+    /// Reads the whole file; fails only if the file was deleted.
+    pub fn new(disk: &SimDisk, file: FileId, buffer_pages: usize) -> Result<Self, IoError> {
+        let end = disk.try_len(file)?;
+        Ok(Self::with_range(disk, file, 0, end, buffer_pages))
     }
 
     /// Reads bytes `[start, end)` of the file.
@@ -161,17 +149,9 @@ impl FileReader {
         }
         Ok(true)
     }
-
-    /// Infallible wrapper over [`FileReader::try_read_exact`]; panics with
-    /// the typed error's message if a refill cannot be satisfied.
-    pub fn read_exact(&mut self, out: &mut [u8]) -> bool {
-        self.try_read_exact(out)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::DiskModel;
@@ -193,16 +173,16 @@ mod tests {
         let f = d.create();
         let mut w = FileWriter::new(&d, f, 2); // 16-byte buffer
         let payload: Vec<u8> = (0..100u8).collect();
-        w.write(&payload[..37]);
-        w.write(&payload[37..]);
-        let f = w.finish();
-        assert_eq!(d.len(f), 100);
+        w.try_write(&payload[..37]).unwrap();
+        w.try_write(&payload[37..]).unwrap();
+        let f = w.try_finish().unwrap();
+        assert_eq!(d.try_len(f).unwrap(), 100);
 
-        let mut r = FileReader::new(&d, f, 3);
+        let mut r = FileReader::new(&d, f, 3).unwrap();
         let mut out = vec![0u8; 100];
-        assert!(r.read_exact(&mut out));
+        assert!(r.try_read_exact(&mut out).unwrap());
         assert_eq!(out, payload);
-        assert!(!r.read_exact(&mut [0u8; 1]));
+        assert!(!r.try_read_exact(&mut [0u8; 1]).unwrap());
     }
 
     #[test]
@@ -210,8 +190,8 @@ mod tests {
         let d = disk();
         let f = d.create();
         let mut w = FileWriter::new(&d, f, 4); // 32-byte buffer
-        w.write(&[1u8; 64]);
-        w.finish();
+        w.try_write(&[1u8; 64]).unwrap();
+        w.try_finish().unwrap();
         let s = d.stats();
         assert_eq!(s.write_requests, 2); // two full 4-page flushes
         assert_eq!(s.pages_written, 8);
@@ -222,14 +202,14 @@ mod tests {
         let d = disk();
         let f = d.create();
         let mut w = FileWriter::new(&d, f, 1);
-        w.write(&(0..64u8).collect::<Vec<_>>());
-        w.finish();
+        w.try_write(&(0..64u8).collect::<Vec<_>>()).unwrap();
+        w.try_finish().unwrap();
         let mut r = FileReader::with_range(&d, f, 16, 32, 1);
         assert_eq!(r.remaining(), 16);
         let mut out = [0u8; 16];
-        assert!(r.read_exact(&mut out));
+        assert!(r.try_read_exact(&mut out).unwrap());
         assert_eq!(out.to_vec(), (16..32u8).collect::<Vec<_>>());
-        assert!(!r.read_exact(&mut out));
+        assert!(!r.try_read_exact(&mut out).unwrap());
     }
 
     #[test]
@@ -237,14 +217,20 @@ mod tests {
         let d = disk();
         let f = d.create();
         let mut w = FileWriter::new(&d, f, 8);
-        w.write(&[0u8; 256]); // 32 pages
-        w.finish();
+        w.try_write(&[0u8; 256]).unwrap(); // 32 pages
+        w.try_finish().unwrap();
         d.reset_stats();
         let mut out = vec![0u8; 256];
-        FileReader::new(&d, f, 1).read_exact(&mut out);
+        FileReader::new(&d, f, 1)
+            .unwrap()
+            .try_read_exact(&mut out)
+            .unwrap();
         let small = d.model().units(&d.stats());
         d.reset_stats();
-        FileReader::new(&d, f, 16).read_exact(&mut out);
+        FileReader::new(&d, f, 16)
+            .unwrap()
+            .try_read_exact(&mut out)
+            .unwrap();
         let big = d.model().units(&d.stats());
         assert!(big < small, "big-buffer read {big} not cheaper than {small}");
     }

@@ -22,7 +22,7 @@
 //!   multi-page requests (larger buffers ⇒ fewer positioning penalties),
 //! * [`RecordWriter`] / [`RecordReader`] — typed fixed-length record streams
 //!   ([`FixedRecord`]),
-//! * [`external_sort`] — memory-budgeted run formation + multiway merge,
+//! * [`try_external_sort_by`] — memory-budgeted run formation + multiway merge,
 //!   the building block of PBSM's original duplicate-removal phase and of
 //!   S³J's level-file sorting phase.
 
@@ -31,10 +31,10 @@
 //! [`FaultPlan`] — transient read/write errors, torn writes, bit-rot caught
 //! by per-page checksums — and a [`RetryPolicy`] that retries failed page
 //! requests with exponential backoff *in simulated disk-time units*, every
-//! attempt charged to the cost model. Fallible `try_*` twins of every I/O
-//! entry point return the typed [`IoError`]; the historic infallible names
-//! remain as thin wrappers (they still succeed under recoverable plans,
-//! because retries happen at the page-request level underneath them).
+//! attempt charged to the cost model. Every I/O entry point is fallible and
+//! returns the typed [`IoError`]; there are no panicking twins. Retries
+//! happen at the page-request level underneath, so a recoverable plan never
+//! surfaces an error at all.
 //!
 //! Durability model (PR 4): the manifest layer adds checkpointed
 //! runs — an atomic-publish [`Manifest`], an append-only per-partition
@@ -74,13 +74,7 @@ pub use metrics::{
 };
 pub use file::{FileReader, FileWriter};
 pub use pool::BufferPool;
-pub use record::{
-    read_all, try_read_all, try_write_all, write_all, FixedRecord, IdPair, RecordReader,
-    RecordWriter,
-};
+pub use record::{try_read_all, try_write_all, FixedRecord, IdPair, RecordReader, RecordWriter};
 pub use retry::RetryPolicy;
 pub use sink::{Finished, PartitionSink};
-pub use sort::{
-    external_sort, external_sort_by, external_sort_slice, try_external_sort,
-    try_external_sort_by, try_external_sort_slice, SortStats,
-};
+pub use sort::{try_external_sort, try_external_sort_by, try_external_sort_slice, SortStats};

@@ -778,7 +778,6 @@ impl RunControl {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::{DiskModel, FaultPlan, RetryPolicy};
@@ -805,7 +804,7 @@ mod tests {
         let fr: Vec<FileId> = (0..3).map(|_| d.create()).collect();
         let fs: Vec<FileId> = (0..3).map(|_| d.create()).collect();
         for f in fr.iter().chain(fs.iter()) {
-            d.append(*f, &[1u8; 32]);
+            d.try_append(*f, &[1u8; 32]).unwrap();
         }
         cp.commit_join_phase(3, &fr, &fs).unwrap();
         for p in 0..3u32 {
@@ -890,7 +889,7 @@ mod tests {
         // was published.
         for _ in 0..4 {
             let f = d.create();
-            d.append(f, &[0u8; 100]);
+            d.try_append(f, &[0u8; 100]).unwrap();
         }
         let got = recover(&d, sb, 9).unwrap();
         assert!(matches!(got, Recovered::Fresh));
@@ -911,7 +910,8 @@ mod tests {
         // by appending results then garbage where the record would go.
         cp.append_results(&pairs(4..9)).unwrap();
         let journal = cp.manifest.journal.unwrap();
-        d.append(journal, &[0xABu8; JOURNAL_RECORD / 2]);
+        d.try_append(journal, &[0xABu8; JOURNAL_RECORD / 2])
+            .unwrap();
 
         let got = recover(&d, sb, 77).unwrap();
         let Recovered::Resumed(rcp) = got else {
@@ -921,10 +921,10 @@ mod tests {
         assert_eq!(rcp.committed_count(), 1);
         assert!(rcp.is_committed(0) && !rcp.is_committed(1));
         // The torn tail is gone and the journal re-parses cleanly.
-        assert_eq!(d.len(journal) as usize, JOURNAL_RECORD);
+        assert_eq!(d.try_len(journal).unwrap() as usize, JOURNAL_RECORD);
         // Partition 1's uncommitted pairs were rolled back.
         assert_eq!(rcp.read_results().unwrap(), pairs(0..4));
-        assert_eq!(d.len(rcp.manifest.results.unwrap()), 4 * 16);
+        assert_eq!(d.try_len(rcp.manifest.results.unwrap()).unwrap(), 4 * 16);
     }
 
     #[test]
@@ -974,14 +974,17 @@ mod tests {
             crate::JoinErrorKind::Crashed(CrashPoint::MidPartition(1))
         ));
         let journal = cp.manifest.journal.unwrap();
-        assert_eq!(d.len(journal) as usize, JOURNAL_RECORD + JOURNAL_RECORD / 2);
+        assert_eq!(
+            d.try_len(journal).unwrap() as usize,
+            JOURNAL_RECORD + JOURNAL_RECORD / 2
+        );
 
         let got = recover(&d, sb, 5).unwrap();
         let Recovered::Resumed(rcp) = got else {
             panic!("expected resume")
         };
         assert_eq!(rcp.committed_count(), 1);
-        assert_eq!(d.len(journal) as usize, JOURNAL_RECORD);
+        assert_eq!(d.try_len(journal).unwrap() as usize, JOURNAL_RECORD);
         // Partition 1's flushed-but-uncommitted pairs rolled back.
         assert_eq!(rcp.read_results().unwrap(), pairs(0..2));
     }
@@ -1056,7 +1059,7 @@ mod tests {
         cp.commit_partition_phase(&fr, &fs).unwrap();
         // Orphan from a later, never-published stage.
         let orphan = d.create();
-        d.append(orphan, &[9u8; 16]);
+        d.try_append(orphan, &[9u8; 16]).unwrap();
 
         let Recovered::Resumed(rcp) = recover(&d, sb, 11).unwrap() else {
             panic!("expected resume")

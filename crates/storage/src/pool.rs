@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use crate::{FileId, SimDisk};
+use crate::{FileId, IoError, SimDisk};
 
 /// A page-granular LRU buffer pool over a [`SimDisk`].
 ///
@@ -48,21 +48,22 @@ impl BufferPool {
     }
 
     /// Returns page `page_no` of `file`, reading it on a miss. The returned
-    /// slice is valid until the next `get` (which may evict it).
-    pub fn get(&mut self, file: FileId, page_no: u64) -> &[u8] {
+    /// slice is valid until the next `try_get` (which may evict it). A miss
+    /// whose read fails caches nothing.
+    pub fn try_get(&mut self, file: FileId, page_no: u64) -> Result<&[u8], IoError> {
         self.clock += 1;
         let key = (file, page_no);
         if let Some(&slot) = self.map.get(&key) {
             self.hits += 1;
             self.slots[slot].last_used = self.clock;
-            return &self.slots[slot].data;
+            return Ok(&self.slots[slot].data);
         }
         self.misses += 1;
         let ps = self.disk.model().page_size as u64;
         let offset = page_no * ps;
-        let len = (self.disk.len(file).saturating_sub(offset)).min(ps) as usize;
+        let len = (self.disk.try_len(file)?.saturating_sub(offset)).min(ps) as usize;
         let mut data = vec![0u8; len];
-        self.disk.read(file, offset, &mut data);
+        self.disk.try_read(file, offset, &mut data)?;
         let slot = if self.slots.len() < self.capacity {
             self.slots.push(Slot {
                 key,
@@ -90,7 +91,7 @@ impl BufferPool {
             victim
         };
         self.map.insert(key, slot);
-        &self.slots[slot].data
+        Ok(&self.slots[slot].data)
     }
 
     /// Hit fraction so far (0 when nothing was requested).
@@ -105,7 +106,6 @@ impl BufferPool {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::DiskModel;
@@ -124,7 +124,7 @@ mod tests {
     fn file_with_pages(d: &SimDisk, pages: usize) -> FileId {
         let f = d.create();
         for p in 0..pages {
-            d.append(f, &[p as u8; 16]);
+            d.try_append(f, &[p as u8; 16]).unwrap();
         }
         f
     }
@@ -135,8 +135,8 @@ mod tests {
         let f = file_with_pages(&d, 4);
         d.reset_stats();
         let mut pool = BufferPool::new(&d, 2);
-        assert_eq!(pool.get(f, 1)[0], 1);
-        assert_eq!(pool.get(f, 1)[0], 1);
+        assert_eq!(pool.try_get(f, 1).unwrap()[0], 1);
+        assert_eq!(pool.try_get(f, 1).unwrap()[0], 1);
         assert_eq!(pool.hits, 1);
         assert_eq!(pool.misses, 1);
         assert_eq!(d.stats().read_requests, 1, "second get must not touch disk");
@@ -147,14 +147,14 @@ mod tests {
         let d = disk();
         let f = file_with_pages(&d, 4);
         let mut pool = BufferPool::new(&d, 2);
-        pool.get(f, 0);
-        pool.get(f, 1);
-        pool.get(f, 0); // page 1 is now coldest
-        pool.get(f, 2); // evicts 1
+        pool.try_get(f, 0).unwrap();
+        pool.try_get(f, 1).unwrap();
+        pool.try_get(f, 0).unwrap(); // page 1 is now coldest
+        pool.try_get(f, 2).unwrap(); // evicts 1
         d.reset_stats();
-        pool.get(f, 0); // hit
+        pool.try_get(f, 0).unwrap(); // hit
         assert_eq!(d.stats().read_requests, 0);
-        pool.get(f, 1); // miss: was evicted
+        pool.try_get(f, 1).unwrap(); // miss: was evicted
         assert_eq!(d.stats().read_requests, 1);
     }
 
@@ -166,7 +166,7 @@ mod tests {
         let run = |cap: usize| {
             let mut pool = BufferPool::new(&d, cap);
             for &p in &walk {
-                pool.get(f, p);
+                pool.try_get(f, p).unwrap();
             }
             pool.misses
         };
@@ -180,9 +180,9 @@ mod tests {
     fn partial_last_page() {
         let d = disk();
         let f = d.create();
-        d.append(f, &[7u8; 20]); // 1.25 pages
+        d.try_append(f, &[7u8; 20]).unwrap(); // 1.25 pages
         let mut pool = BufferPool::new(&d, 2);
-        assert_eq!(pool.get(f, 0).len(), 16);
-        assert_eq!(pool.get(f, 1).len(), 4);
+        assert_eq!(pool.try_get(f, 0).unwrap().len(), 16);
+        assert_eq!(pool.try_get(f, 1).unwrap().len(), 4);
     }
 }

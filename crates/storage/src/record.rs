@@ -92,12 +92,6 @@ impl<R: FixedRecord> RecordWriter<R> {
         Ok(())
     }
 
-    /// Infallible wrapper over [`RecordWriter::try_push`].
-    pub fn push(&mut self, r: &R) {
-        self.try_push(r)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
     /// Records pushed so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -114,14 +108,9 @@ impl<R: FixedRecord> RecordWriter<R> {
     pub fn try_finish(self) -> Result<FileId, IoError> {
         self.inner.try_finish()
     }
-
-    /// Infallible wrapper over [`RecordWriter::try_finish`].
-    pub fn finish(self) -> FileId {
-        self.inner.finish()
-    }
 }
 
-/// Typed buffered reader of [`FixedRecord`]s; an `Iterator<Item = R>`.
+/// Typed buffered reader of [`FixedRecord`]s.
 pub struct RecordReader<R: FixedRecord> {
     inner: FileReader,
     scratch: Vec<u8>,
@@ -129,12 +118,13 @@ pub struct RecordReader<R: FixedRecord> {
 }
 
 impl<R: FixedRecord> RecordReader<R> {
-    pub fn new(disk: &SimDisk, file: FileId, buffer_pages: usize) -> Self {
-        RecordReader {
-            inner: FileReader::new(disk, file, buffer_pages),
+    /// Reads the whole file; fails only if the file was deleted.
+    pub fn new(disk: &SimDisk, file: FileId, buffer_pages: usize) -> Result<Self, IoError> {
+        Ok(RecordReader {
+            inner: FileReader::new(disk, file, buffer_pages)?,
             scratch: vec![0u8; R::SIZE],
             _marker: std::marker::PhantomData,
-        }
+        })
     }
 
     /// Reads records from the byte range `[start, end)` of `file`.
@@ -173,32 +163,7 @@ impl<R: FixedRecord> RecordReader<R> {
     }
 }
 
-impl<R: FixedRecord> Iterator for RecordReader<R> {
-    type Item = R;
-
-    /// Infallible wrapper over [`RecordReader::try_next`]; panics with the
-    /// typed error's message if a refill cannot be satisfied.
-    fn next(&mut self) -> Option<R> {
-        self.try_next()
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining() as usize;
-        (n, Some(n))
-    }
-}
-
-/// Convenience: writes all records into a fresh file with a large buffer.
-pub fn write_all<R: FixedRecord>(disk: &SimDisk, records: &[R], buffer_pages: usize) -> FileId {
-    let mut w = RecordWriter::create(disk, buffer_pages);
-    for r in records {
-        w.push(r);
-    }
-    w.finish()
-}
-
-/// Fallible [`write_all`].
+/// Convenience: writes all records into a fresh file.
 pub fn try_write_all<R: FixedRecord>(
     disk: &SimDisk,
     records: &[R],
@@ -212,17 +177,12 @@ pub fn try_write_all<R: FixedRecord>(
 }
 
 /// Convenience: reads a whole record file into memory.
-pub fn read_all<R: FixedRecord>(disk: &SimDisk, file: FileId, buffer_pages: usize) -> Vec<R> {
-    RecordReader::new(disk, file, buffer_pages).collect()
-}
-
-/// Fallible [`read_all`].
 pub fn try_read_all<R: FixedRecord>(
     disk: &SimDisk,
     file: FileId,
     buffer_pages: usize,
 ) -> Result<Vec<R>, IoError> {
-    let mut reader = RecordReader::<R>::new(disk, file, buffer_pages);
+    let mut reader = RecordReader::<R>::new(disk, file, buffer_pages)?;
     let mut out = Vec::with_capacity(reader.remaining() as usize);
     while let Some(r) = reader.try_next()? {
         out.push(r);
@@ -231,7 +191,6 @@ pub fn try_read_all<R: FixedRecord>(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::DiskModel;
@@ -257,9 +216,9 @@ mod tests {
                 Kpe::new(RecordId(i), Rect::new(v, v, v + 0.1, v + 0.2))
             })
             .collect();
-        let f = write_all(&d, &kpes, 2);
-        assert_eq!(d.len(f), (100 * Kpe::ENCODED_SIZE) as u64);
-        let back: Vec<Kpe> = read_all(&d, f, 3);
+        let f = try_write_all(&d, &kpes, 2).unwrap();
+        assert_eq!(d.try_len(f).unwrap(), (100 * Kpe::ENCODED_SIZE) as u64);
+        let back: Vec<Kpe> = try_read_all(&d, f, 3).unwrap();
         assert_eq!(back, kpes);
     }
 
@@ -271,8 +230,8 @@ mod tests {
             IdPair { r: 1, s: 2 },
             IdPair { r: 1, s: 1 },
         ];
-        let f = write_all(&d, &pairs, 1);
-        let back: Vec<IdPair> = read_all(&d, f, 1);
+        let f = try_write_all(&d, &pairs, 1).unwrap();
+        let back: Vec<IdPair> = try_read_all(&d, f, 1).unwrap();
         assert_eq!(back, pairs);
         let mut sorted = back.clone();
         sorted.sort();
@@ -287,25 +246,33 @@ mod tests {
     }
 
     #[test]
-    fn reader_size_hint_is_exact() {
+    fn reader_remaining_is_exact() {
         let d = disk();
         let pairs: Vec<IdPair> = (0..17).map(|i| IdPair { r: i, s: i }).collect();
-        let f = write_all(&d, &pairs, 1);
-        let mut r = RecordReader::<IdPair>::new(&d, f, 1);
-        assert_eq!(r.size_hint(), (17, Some(17)));
-        r.next();
-        assert_eq!(r.size_hint(), (16, Some(16)));
-        assert_eq!(r.count(), 16);
+        let f = try_write_all(&d, &pairs, 1).unwrap();
+        let mut r = RecordReader::<IdPair>::new(&d, f, 1).unwrap();
+        assert_eq!(r.remaining(), 17);
+        r.try_next().unwrap();
+        assert_eq!(r.remaining(), 16);
+        let mut n = 0;
+        while r.try_next().unwrap().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 16);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn range_reader_reads_record_slice() {
         let d = disk();
         let pairs: Vec<IdPair> = (0..10).map(|i| IdPair { r: i, s: 0 }).collect();
-        let f = write_all(&d, &pairs, 1);
+        let f = try_write_all(&d, &pairs, 1).unwrap();
         let sz = IdPair::SIZE as u64;
-        let slice: Vec<IdPair> =
-            RecordReader::<IdPair>::with_range(&d, f, 3 * sz, 7 * sz, 1).collect();
-        assert_eq!(slice.iter().map(|p| p.r).collect::<Vec<_>>(), vec![3, 4, 5, 6]);
+        let mut reader = RecordReader::<IdPair>::with_range(&d, f, 3 * sz, 7 * sz, 1);
+        let mut slice = Vec::new();
+        while let Some(p) = reader.try_next().unwrap() {
+            slice.push(p.r);
+        }
+        assert_eq!(slice, vec![3, 4, 5, 6]);
     }
 }

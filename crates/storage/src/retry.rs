@@ -90,7 +90,6 @@ impl RetryPolicy {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

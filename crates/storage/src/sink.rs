@@ -256,7 +256,6 @@ impl<'a> PartitionSink<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use std::sync::Arc;
 

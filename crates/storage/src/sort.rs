@@ -3,7 +3,7 @@ use std::collections::BinaryHeap;
 
 use crate::{FileId, FixedRecord, IoError, RecordReader, RecordWriter, SimDisk};
 
-/// Outcome counters of an [`external_sort_by`] invocation.
+/// Outcome counters of an external sort ([`try_external_sort_by`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SortStats {
     /// Initial sorted runs formed.
@@ -75,7 +75,7 @@ where
 
     // --- Run formation -----------------------------------------------------
     let mut stats = SortStats::default();
-    let mut reader = RecordReader::<R>::new(disk, input, plan.in_pages);
+    let mut reader = RecordReader::<R>::new(disk, input, plan.in_pages)?;
     // Runs (and, below, merge outputs) stay on the input's I/O channel: the
     // sort of a partition's data contends with that partition's channel,
     // not with every other channel's.
@@ -117,25 +117,8 @@ where
     Ok((out, stats))
 }
 
-/// Infallible wrapper over [`try_external_sort_by`]; panics with the typed
-/// error's message if a request cannot be satisfied.
-pub fn external_sort_by<R, K, F>(
-    disk: &SimDisk,
-    input: FileId,
-    mem_bytes: usize,
-    key: F,
-) -> (FileId, SortStats)
-where
-    R: FixedRecord,
-    K: Ord,
-    F: Fn(&R) -> K + Copy,
-{
-    try_external_sort_by(disk, input, mem_bytes, key)
-        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-}
-
 /// Sorts an in-memory slice into a record file with at most `mem_bytes` of
-/// working memory. Unlike [`external_sort_by`] the *input* is read for free
+/// working memory. Unlike [`try_external_sort_by`] the *input* is read for free
 /// (it is already in memory / comes from an upstream operator, which the
 /// paper's cost model does not charge); only runs and merge passes hit the
 /// disk.
@@ -180,22 +163,6 @@ where
     }
     let out = try_merge_runs::<R, K, F>(disk, runs_file, runs, mem_bytes, key, &mut stats)?;
     Ok((out, stats))
-}
-
-/// Infallible wrapper over [`try_external_sort_slice`].
-pub fn external_sort_slice<R, K, F>(
-    disk: &SimDisk,
-    data: &[R],
-    mem_bytes: usize,
-    key: F,
-) -> (FileId, SortStats)
-where
-    R: FixedRecord,
-    K: Ord,
-    F: Fn(&R) -> K + Copy,
-{
-    try_external_sort_slice(disk, data, mem_bytes, key)
-        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
 }
 
 /// Repeated multiway merging until one run remains; returns the final file.
@@ -334,19 +301,10 @@ where
     try_external_sort_by(disk, input, mem_bytes, |r: &R| *r)
 }
 
-/// [`external_sort_by`] for records that are themselves `Ord`.
-pub fn external_sort<R>(disk: &SimDisk, input: FileId, mem_bytes: usize) -> (FileId, SortStats)
-where
-    R: FixedRecord + Ord,
-{
-    external_sort_by(disk, input, mem_bytes, |r: &R| *r)
-}
-
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::record::{read_all, write_all};
+    use crate::record::{try_read_all, try_write_all};
     use crate::{DiskModel, IdPair};
     use rand::prelude::*;
 
@@ -370,9 +328,9 @@ mod tests {
     #[test]
     fn sorts_empty_input() {
         let d = disk();
-        let f = write_all::<IdPair>(&d, &[], 1);
-        let (out, stats) = external_sort::<IdPair>(&d, f, 1024);
-        assert!(read_all::<IdPair>(&d, out, 1).is_empty());
+        let f = try_write_all::<IdPair>(&d, &[], 1).unwrap();
+        let (out, stats) = try_external_sort::<IdPair>(&d, f, 1024).unwrap();
+        assert!(try_read_all::<IdPair>(&d, out, 1).unwrap().is_empty());
         assert_eq!(stats.runs, 0);
     }
 
@@ -380,11 +338,11 @@ mod tests {
     fn sorts_in_memory_single_run() {
         let d = disk();
         let v = shuffled_pairs(50, 1);
-        let f = write_all(&d, &v, 2);
-        let (out, stats) = external_sort::<IdPair>(&d, f, 1 << 20);
+        let f = try_write_all(&d, &v, 2).unwrap();
+        let (out, stats) = try_external_sort::<IdPair>(&d, f, 1 << 20).unwrap();
         assert_eq!(stats.runs, 1);
         assert_eq!(stats.merge_passes, 0);
-        let got = read_all::<IdPair>(&d, out, 2);
+        let got = try_read_all::<IdPair>(&d, out, 2).unwrap();
         let mut want = v;
         want.sort();
         assert_eq!(got, want);
@@ -394,13 +352,13 @@ mod tests {
     fn sorts_with_multiple_runs_and_merge() {
         let d = disk();
         let v = shuffled_pairs(1000, 2);
-        let f = write_all(&d, &v, 4);
+        let f = try_write_all(&d, &v, 4).unwrap();
         // Tiny memory: forces many runs and (with fan-in limits) maybe
         // multiple merge passes.
-        let (out, stats) = external_sort::<IdPair>(&d, f, 1024);
+        let (out, stats) = try_external_sort::<IdPair>(&d, f, 1024).unwrap();
         assert!(stats.runs > 1, "expected multiple runs, got {stats:?}");
         assert!(stats.merge_passes >= 1);
-        let got = read_all::<IdPair>(&d, out, 4);
+        let got = try_read_all::<IdPair>(&d, out, 4).unwrap();
         let mut want = v;
         want.sort();
         assert_eq!(got, want);
@@ -410,9 +368,10 @@ mod tests {
     fn sort_by_custom_key_descending() {
         let d = disk();
         let v = shuffled_pairs(200, 3);
-        let f = write_all(&d, &v, 2);
-        let (out, _) = external_sort_by::<IdPair, _, _>(&d, f, 2048, |p| std::cmp::Reverse(p.r));
-        let got = read_all::<IdPair>(&d, out, 2);
+        let f = try_write_all(&d, &v, 2).unwrap();
+        let (out, _) =
+            try_external_sort_by::<IdPair, _, _>(&d, f, 2048, |p| std::cmp::Reverse(p.r)).unwrap();
+        let got = try_read_all::<IdPair>(&d, out, 2).unwrap();
         let mut want = v;
         want.sort_by_key(|p| std::cmp::Reverse(p.r));
         assert_eq!(got, want);
@@ -423,10 +382,10 @@ mod tests {
         let d = disk();
         // All records share one key; stability means input order survives.
         let v: Vec<IdPair> = (0..300).map(|i| IdPair { r: 7, s: i }).collect();
-        let f = write_all(&d, &v, 2);
-        let (out, stats) = external_sort_by::<IdPair, _, _>(&d, f, 1024, |p| p.r);
+        let f = try_write_all(&d, &v, 2).unwrap();
+        let (out, stats) = try_external_sort_by::<IdPair, _, _>(&d, f, 1024, |p| p.r).unwrap();
         assert!(stats.runs > 1);
-        let got = read_all::<IdPair>(&d, out, 2);
+        let got = try_read_all::<IdPair>(&d, out, 2).unwrap();
         assert_eq!(got, v);
     }
 
@@ -434,13 +393,13 @@ mod tests {
     fn smaller_memory_means_more_io() {
         let d = disk();
         let v = shuffled_pairs(2000, 4);
-        let f = write_all(&d, &v, 8);
+        let f = try_write_all(&d, &v, 8).unwrap();
         d.reset_stats();
-        let (out1, _) = external_sort::<IdPair>(&d, f, 1 << 20);
+        let (out1, _) = try_external_sort::<IdPair>(&d, f, 1 << 20).unwrap();
         let big_mem_units = d.model().units(&d.stats());
         d.delete(out1);
         d.reset_stats();
-        let (_, _) = external_sort::<IdPair>(&d, f, 1024);
+        let (_, _) = try_external_sort::<IdPair>(&d, f, 1024).unwrap();
         let small_mem_units = d.model().units(&d.stats());
         assert!(
             small_mem_units > big_mem_units,
@@ -450,10 +409,9 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod proptests {
     use super::*;
-    use crate::record::{read_all, write_all};
+    use crate::record::{try_read_all, try_write_all};
     use crate::{DiskModel, IdPair};
     use proptest::prelude::*;
 
@@ -477,9 +435,9 @@ mod proptests {
                 degraded_channel: None,
             });
             let records: Vec<IdPair> = values.iter().map(|&(r, s)| IdPair { r, s }).collect();
-            let f = write_all(&disk, &records, 2);
-            let (out, _) = external_sort::<IdPair>(&disk, f, mem);
-            let got = read_all::<IdPair>(&disk, out, 2);
+            let f = try_write_all(&disk, &records, 2).unwrap();
+            let (out, _) = try_external_sort::<IdPair>(&disk, f, mem).unwrap();
+            let got = try_read_all::<IdPair>(&disk, out, 2).unwrap();
             let mut want = records.clone();
             want.sort();
             prop_assert_eq!(got, want);
@@ -500,12 +458,12 @@ mod proptests {
                 degraded_channel: None,
             });
             let records: Vec<IdPair> = values.iter().map(|&v| IdPair { r: v, s: !v }).collect();
-            let f = write_all(&disk, &records, 2);
-            let (a, _) = external_sort_by::<IdPair, _, _>(&disk, f, mem, |p| p.r);
-            let (b, _) = external_sort_slice::<IdPair, _, _>(&disk, &records, mem, |p| p.r);
+            let f = try_write_all(&disk, &records, 2).unwrap();
+            let (a, _) = try_external_sort_by::<IdPair, _, _>(&disk, f, mem, |p| p.r).unwrap();
+            let (b, _) = try_external_sort_slice::<IdPair, _, _>(&disk, &records, mem, |p| p.r).unwrap();
             prop_assert_eq!(
-                read_all::<IdPair>(&disk, a, 2),
-                read_all::<IdPair>(&disk, b, 2)
+                try_read_all::<IdPair>(&disk, a, 2).unwrap(),
+                try_read_all::<IdPair>(&disk, b, 2).unwrap()
             );
         }
     }

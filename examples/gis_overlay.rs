@@ -9,9 +9,9 @@
 //! cargo run --release --example gis_overlay
 //! ```
 
-use spatial_join_suite::{Algorithm, SpatialJoin};
+use spatial_join_suite::{Algorithm, JoinError, SpatialJoin};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let scale = 0.1; // 10% of the paper's LA datasets; bump for bigger runs
     let roads = datagen::sized(&datagen::la_rr_config(7), scale).generate();
     let streets = datagen::sized(&datagen::la_st_config(7), scale).generate();
@@ -50,7 +50,7 @@ fn main() {
     let mut expected: Option<u64> = None;
     for algo in algorithms {
         let join = SpatialJoin::new(algo);
-        let (n, stats) = join.count(&roads, &streets);
+        let (n, stats) = join.try_count(&roads, &streets)?;
         println!(
             "{:<28} {:>10} {:>10} {:>9.3} {:>9.3} {:>9.3}",
             join.algorithm().name(),
@@ -68,4 +68,5 @@ fn main() {
 
     println!();
     println!("all algorithms returned the identical result set — as they must.");
+    Ok(())
 }

@@ -19,9 +19,9 @@
 
 use exec::{Collected, JoinAlgorithm, KpeScan, Operator, SpatialJoinOp, WindowFilter};
 use pbsm::{Dedup, PbsmConfig};
-use spatial_join_suite::{Algorithm, Rect, SimDisk, SpatialJoin};
+use spatial_join_suite::{Algorithm, JoinError, Rect, SimDisk, SpatialJoin};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let roads = datagen::sized(&datagen::la_rr_config(3), 0.1).generate();
     let streets = datagen::sized(&datagen::la_st_config(3), 0.1).generate();
     let mem = 256 * 1024;
@@ -39,7 +39,7 @@ fn main() {
         Algorithm::sssj(mem),
     ] {
         let join = SpatialJoin::new(algo);
-        let (_, stats) = join.count(&roads, &streets);
+        let (_, stats) = join.try_count(&roads, &streets)?;
         println!(
             "{:<28} {:>14.4} {:>12.4}",
             join.algorithm().name(),
@@ -101,4 +101,5 @@ fn main() {
         collected.first_tuple_secs.unwrap_or(f64::NAN) * 1e3,
         collected.total_secs * 1e3
     );
+    Ok(())
 }

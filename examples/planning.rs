@@ -13,9 +13,9 @@
 use spatial_join_suite::estimate::{
     estimate_join_cardinality, recommended_partitions, GridHistogram,
 };
-use spatial_join_suite::{Algorithm, JoinStats, Kpe, SpatialJoin};
+use spatial_join_suite::{Algorithm, JoinError, JoinStats, Kpe, SpatialJoin};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let roads = datagen::sized(&datagen::la_rr_config(23), 0.1).generate();
     let streets = datagen::sized(&datagen::la_st_config(23), 0.1).generate();
     let mem = 512 * 1024;
@@ -34,7 +34,7 @@ fn main() {
     println!("  occupancy R / S    : {:.2} / {:.2}", hr.occupancy(), hs.occupancy());
 
     // Reality.
-    let run = SpatialJoin::new(Algorithm::pbsm_rpm(mem)).run(&roads, &streets);
+    let run = SpatialJoin::new(Algorithm::pbsm_rpm(mem)).try_run(&roads, &streets)?;
     let JoinStats::Pbsm(stats) = &run.stats else {
         unreachable!()
     };
@@ -47,4 +47,5 @@ fn main() {
         est_card / run.pairs.len().max(1) as f64
     );
     assert_eq!(est_p, stats.partitions, "planner and executor must agree");
+    Ok(())
 }

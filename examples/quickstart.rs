@@ -4,9 +4,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use spatial_join_suite::{dataset_stats, Algorithm, SpatialJoin};
+use spatial_join_suite::{dataset_stats, Algorithm, JoinError, SpatialJoin};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     // 5%-scale equivalents of the paper's LA_RR (railways & rivers) and
     // LA_ST (streets) datasets — same coverage, same clustering.
     let roads = datagen::sized(&datagen::la_rr_config(42), 0.05).generate();
@@ -19,7 +19,7 @@ fn main() {
 
     // PBSM with 512 KiB of memory and online reference-point dedup.
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(512 * 1024));
-    let run = join.run(&roads, &streets);
+    let run = join.try_run(&roads, &streets)?;
 
     let selectivity = run.pairs.len() as f64 / (roads.len() as f64 * streets.len() as f64);
     println!();
@@ -38,4 +38,5 @@ fn main() {
     for (r, s) in run.pairs.iter().take(5) {
         println!("  road #{} intersects street #{}", r.0, s.0);
     }
+    Ok(())
 }

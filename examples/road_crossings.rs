@@ -11,22 +11,22 @@
 //! cargo run --release --example road_crossings
 //! ```
 
-use spatial_join_suite::{refine::SegmentIntersect, Algorithm, SpatialJoin};
+use spatial_join_suite::{refine::SegmentIntersect, Algorithm, JoinError, SpatialJoin};
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let roads = datagen::sized(&datagen::la_rr_config(5), 0.08).generate_dataset();
     let streets = datagen::sized(&datagen::la_st_config(5), 0.08).generate_dataset();
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(512 * 1024));
 
     // --- Intersection join with refinement ---------------------------------
-    let run = join.run_refined(
+    let run = join.try_run_refined(
         &roads.kpes,
         &streets.kpes,
         SegmentIntersect {
             r: &roads.segments,
             s: &streets.segments,
         },
-    );
+    )?;
     println!(
         "{} railway/river segments x {} street segments",
         roads.len(),
@@ -49,7 +49,7 @@ fn main() {
     // --- ε-distance join ----------------------------------------------------
     // The unit square is the LA region, roughly 100 km across, so 50 m ≈ 5e-4.
     let eps = 5e-4;
-    let near = join.within_distance(&roads, &streets, eps);
+    let near = join.try_within_distance(&roads, &streets, eps)?;
     println!();
     println!(
         "street segments within ~50m of a railway/river: {} pairs",
@@ -61,4 +61,5 @@ fn main() {
         100.0 * near.refine.false_positive_rate()
     );
     assert!(near.pairs.len() >= run.pairs.len());
+    Ok(())
 }

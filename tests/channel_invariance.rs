@@ -126,7 +126,8 @@ fn partitioned_joins_strictly_faster_with_four_channels() {
                     cpu_slowdown: 0.0,
                     ..Default::default()
                 })
-                .count(&road, &road);
+                .try_count(&road, &road)
+                .unwrap();
             (n, stats)
         };
         let (n11, st11) = run(1, 1);

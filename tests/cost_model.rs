@@ -16,8 +16,12 @@ fn datasets() -> (Vec<Kpe>, Vec<Kpe>) {
 fn rpm_strictly_cheaper_io_than_sort_phase() {
     let (r, s) = datasets();
     let mem = 64 * 1024;
-    let (_, rpm) = SpatialJoin::new(Algorithm::pbsm_rpm(mem)).count(&r, &s);
-    let (_, pd) = SpatialJoin::new(Algorithm::pbsm_original(mem)).count(&r, &s);
+    let (_, rpm) = SpatialJoin::new(Algorithm::pbsm_rpm(mem))
+        .try_count(&r, &s)
+        .unwrap();
+    let (_, pd) = SpatialJoin::new(Algorithm::pbsm_original(mem))
+        .try_count(&r, &s)
+        .unwrap();
     let (JoinStats::Pbsm(rpm), JoinStats::Pbsm(pd)) = (&rpm, &pd) else {
         unreachable!()
     };
@@ -45,8 +49,12 @@ fn dedup_io_grows_with_result_size() {
     for p in [1.0, 2.0, 3.0] {
         let r = datagen::scale(&r0, p);
         let s = datagen::scale(&s0, p);
-        let (_, st) = SpatialJoin::new(Algorithm::pbsm_original(mem)).count(&r, &s);
-        let JoinStats::Pbsm(st) = &st else { unreachable!() };
+        let (_, st) = SpatialJoin::new(Algorithm::pbsm_original(mem))
+            .try_count(&r, &s)
+            .unwrap();
+        let JoinStats::Pbsm(st) = &st else {
+            unreachable!()
+        };
         let dedup = st.cost[Phase::Dedup].io;
         let overhead = dedup.pages_written + dedup.pages_read;
         assert!(
@@ -62,8 +70,12 @@ fn dedup_io_grows_with_result_size() {
 #[test]
 fn pbsm_io_passes_match_table3() {
     let (r, s) = datasets();
-    let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(64 * 1024)).count(&r, &s);
-    let JoinStats::Pbsm(st) = &st else { unreachable!() };
+    let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(64 * 1024))
+        .try_count(&r, &s)
+        .unwrap();
+    let JoinStats::Pbsm(st) = &st else {
+        unreachable!()
+    };
     let ps = st.cost.model.page_size as u64;
     let copies_bytes = (st.copies_r + st.copies_s) * Kpe::ENCODED_SIZE as u64;
     // Partitioning phase: exactly the replicated data, written once.
@@ -82,8 +94,12 @@ fn pbsm_io_passes_match_table3() {
 #[test]
 fn s3j_io_passes_match_table3() {
     let (r, s) = datasets();
-    let (_, st) = SpatialJoin::new(Algorithm::s3j_replicated(64 * 1024)).count(&r, &s);
-    let JoinStats::S3j(st) = &st else { unreachable!() };
+    let (_, st) = SpatialJoin::new(Algorithm::s3j_replicated(64 * 1024))
+        .try_count(&r, &s)
+        .unwrap();
+    let JoinStats::S3j(st) = &st else {
+        unreachable!()
+    };
     let level_bytes = (st.copies_r + st.copies_s) * 48; // LevelRecord::SIZE
     assert_eq!(st.cost[Phase::Partition].io.bytes_written, level_bytes);
     assert!(st.cost[Phase::Sort].io.bytes_read >= level_bytes);
@@ -102,7 +118,7 @@ fn io_monotone_in_memory() {
         for mem in [16 * 1024, 128 * 1024, 1 << 20, 8 << 20] {
             let algo = make(mem);
             let name = algo.name();
-            let (_, st) = SpatialJoin::new(algo).count(&r, &s);
+            let (_, st) = SpatialJoin::new(algo).try_count(&r, &s).unwrap();
             let io = st.io_total();
             let vol = io.pages_written + io.pages_read;
             assert!(
@@ -118,7 +134,9 @@ fn io_monotone_in_memory() {
 #[test]
 fn total_time_identity() {
     let (r, s) = datasets();
-    let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(64 * 1024)).count(&r, &s);
+    let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(64 * 1024))
+        .try_count(&r, &s)
+        .unwrap();
     let total = st.total_seconds();
     let recomputed = st.scaled_cpu_seconds() + st.io_seconds();
     assert!((total - recomputed).abs() < 1e-9);
@@ -283,8 +301,12 @@ fn s3j_replication_cuts_cpu_work() {
     let r = datagen::scale(&r0, 3.0);
     let s = datagen::scale(&s0, 3.0);
     let mem = 128 * 1024;
-    let (_, orig) = SpatialJoin::new(Algorithm::s3j_original(mem)).count(&r, &s);
-    let (_, repl) = SpatialJoin::new(Algorithm::s3j_replicated(mem)).count(&r, &s);
+    let (_, orig) = SpatialJoin::new(Algorithm::s3j_original(mem))
+        .try_count(&r, &s)
+        .unwrap();
+    let (_, repl) = SpatialJoin::new(Algorithm::s3j_replicated(mem))
+        .try_count(&r, &s)
+        .unwrap();
     let (JoinStats::S3j(orig), JoinStats::S3j(repl)) = (&orig, &repl) else {
         unreachable!()
     };

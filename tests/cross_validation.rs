@@ -56,7 +56,7 @@ fn check_all(r: &[Kpe], s: &[Kpe], mem: usize, label: &str) {
     let want = brute(r, s);
     for algo in algorithms(mem) {
         let name = algo.name();
-        let got = sorted_pairs(SpatialJoin::new(algo).run(r, s));
+        let got = sorted_pairs(SpatialJoin::new(algo).try_run(r, s).unwrap());
         assert_eq!(got, want, "{label}: {name} diverges from brute force");
     }
     // The in-memory MX-CIF quadtree join (paper §4.1).

@@ -28,8 +28,8 @@ fn reruns_have_identical_counters() {
     ] {
         let name = algo.name();
         let join = SpatialJoin::new(algo);
-        let (n1, st1) = join.count(&r, &s);
-        let (n2, st2) = join.count(&r, &s);
+        let (n1, st1) = join.try_count(&r, &s).unwrap();
+        let (n2, st2) = join.try_count(&r, &s).unwrap();
         assert_eq!(n1, n2, "{name} result count varies");
         assert_eq!(st1.io_total(), st2.io_total(), "{name} I/O varies");
         match (&st1, &st2) {
@@ -64,8 +64,8 @@ fn rerun_pairs_identical() {
     let r = datagen::sized(&datagen::la_rr_config(8), 0.006).generate();
     let s = datagen::sized(&datagen::la_st_config(8), 0.006).generate();
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(16 * 1024));
-    let a = join.run(&r, &s).pairs;
-    let b = join.run(&r, &s).pairs;
+    let a = join.try_run(&r, &s).unwrap().pairs;
+    let b = join.try_run(&r, &s).unwrap().pairs;
     assert_eq!(a, b, "even the emission order is deterministic");
 }
 
@@ -76,7 +76,7 @@ fn io_seconds_deterministic() {
     let r = datagen::sized(&datagen::la_rr_config(9), 0.006).generate();
     let s = datagen::sized(&datagen::la_st_config(9), 0.006).generate();
     let join = SpatialJoin::new(Algorithm::s3j_replicated(16 * 1024));
-    let (_, st1) = join.count(&r, &s);
-    let (_, st2) = join.count(&r, &s);
+    let (_, st1) = join.try_count(&r, &s).unwrap();
+    let (_, st2) = join.try_count(&r, &s).unwrap();
     assert_eq!(st1.io_seconds().to_bits(), st2.io_seconds().to_bits());
 }

@@ -19,6 +19,7 @@ use pbsm::{Dedup, PbsmConfig};
 use proptest::prelude::*;
 use s3j::S3jConfig;
 use spatial_join_suite::{Algorithm, FaultPlan, RetryPolicy, SimDisk, SpatialJoin};
+use storage::RunControl;
 
 fn workload() -> (Vec<Kpe>, Vec<Kpe>) {
     let r = datagen::LineNetwork {
@@ -56,9 +57,14 @@ fn pbsm_run(
 ) -> Result<(Pairs, pbsm::PbsmStats), storage::JoinError> {
     let disk = faulty_disk(plan);
     let mut got = Vec::new();
-    let stats = pbsm::try_pbsm_join(&disk, r, s, cfg, &mut |a: RecordId, b: RecordId| {
-        got.push((a.0, b.0))
-    })?;
+    let stats = pbsm::try_pbsm_join(
+        &disk,
+        r,
+        s,
+        cfg,
+        &RunControl::none(),
+        &mut |a: RecordId, b: RecordId| got.push((a.0, b.0)),
+    )?;
     Ok((got, stats))
 }
 
@@ -70,9 +76,14 @@ fn s3j_run(
 ) -> Result<(Pairs, s3j::S3jStats), storage::JoinError> {
     let disk = faulty_disk(plan);
     let mut got = Vec::new();
-    let stats = s3j::try_s3j_join(&disk, r, s, cfg, &mut |a: RecordId, b: RecordId| {
-        got.push((a.0, b.0))
-    })?;
+    let stats = s3j::try_s3j_join(
+        &disk,
+        r,
+        s,
+        cfg,
+        &RunControl::none(),
+        &mut |a: RecordId, b: RecordId| got.push((a.0, b.0)),
+    )?;
     Ok((got, stats))
 }
 

@@ -83,7 +83,7 @@ fn phase_meters_sum_exactly_under_faults_and_threads() {
                 if let Some(p) = plan {
                     join = join.with_faults(p);
                 }
-                let (_, st) = join.count(&r, &s);
+                let (_, st) = join.try_count(&r, &s).unwrap();
                 if plan.is_some() {
                     assert!(
                         st.io_total().faults_injected > 0 || !matches!(base, Algorithm::Pbsm(_)),
@@ -106,7 +106,8 @@ fn phase_sums_are_thread_invariant() {
         let sum_at = |t: usize| {
             let (_, st) = SpatialJoin::new(base.clone().with_threads(t))
                 .with_faults(FaultPlan::recoverable(3))
-                .count(&r, &s);
+                .try_count(&r, &s)
+                .unwrap();
             (phase_sum(&st), st.results(), st.duplicates())
         };
         let one = sum_at(1);
@@ -184,7 +185,9 @@ fn metrics_reconcile_across_a_crash_resume_pair() {
 #[test]
 fn exported_json_matches_the_stats_surface() {
     let (r, s) = workload(7, 120);
-    let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(MEM).with_threads(2)).count(&r, &s);
+    let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(MEM).with_threads(2))
+        .try_count(&r, &s)
+        .unwrap();
     let report = st.metrics_report("PBSM (reference point)", 2);
     report.reconcile().expect("report must reconcile");
     let json = report.to_json();
@@ -228,7 +231,10 @@ fn exported_phase_table_is_pinned_for_every_variant() {
     };
     for (algo, want) in variants {
         let ctx = format!("{algo:?}");
-        let (_, st) = SpatialJoin::new(algo).with_disk_model(model).count(&r, &s);
+        let (_, st) = SpatialJoin::new(algo)
+            .with_disk_model(model)
+            .try_count(&r, &s)
+            .unwrap();
         let report = st.metrics_report("phase-table-test", 1);
         let names: Vec<&str> = report.phases.iter().map(|p| p.name).collect();
         assert_eq!(names, want, "{ctx}: exported phase names or order changed");

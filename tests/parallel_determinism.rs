@@ -12,7 +12,7 @@ use geom::{Kpe, RecordId};
 use pbsm::{Dedup, PbsmConfig};
 use proptest::prelude::*;
 use s3j::S3jConfig;
-use storage::SimDisk;
+use storage::{RunControl, SimDisk};
 
 fn brute(r: &[Kpe], s: &[Kpe]) -> Vec<(u64, u64)> {
     let mut v = Vec::new();
@@ -30,18 +30,30 @@ fn brute(r: &[Kpe], s: &[Kpe]) -> Vec<(u64, u64)> {
 fn run_pbsm(r: &[Kpe], s: &[Kpe], cfg: &PbsmConfig) -> (Vec<(u64, u64)>, pbsm::PbsmStats) {
     let disk = SimDisk::with_default_model();
     let mut got = Vec::new();
-    let stats = pbsm::pbsm_join(&disk, r, s, cfg, &mut |a: RecordId, b: RecordId| {
-        got.push((a.0, b.0))
-    });
+    let stats = pbsm::try_pbsm_join(
+        &disk,
+        r,
+        s,
+        cfg,
+        &RunControl::none(),
+        &mut |a: RecordId, b: RecordId| got.push((a.0, b.0)),
+    )
+    .unwrap();
     (got, stats)
 }
 
 fn run_s3j(r: &[Kpe], s: &[Kpe], cfg: &S3jConfig) -> (Vec<(u64, u64)>, s3j::S3jStats) {
     let disk = SimDisk::with_default_model();
     let mut got = Vec::new();
-    let stats = s3j::s3j_join(&disk, r, s, cfg, &mut |a: RecordId, b: RecordId| {
-        got.push((a.0, b.0))
-    });
+    let stats = s3j::try_s3j_join(
+        &disk,
+        r,
+        s,
+        cfg,
+        &RunControl::none(),
+        &mut |a: RecordId, b: RecordId| got.push((a.0, b.0)),
+    )
+    .unwrap();
     (got, stats)
 }
 

@@ -27,10 +27,12 @@ fn sort_phase_blocks_rpm_streams() {
     };
     let (_, rpm) = SpatialJoin::new(Algorithm::pbsm_rpm(mem))
         .with_disk_model(model)
-        .count(&r, &s);
+        .try_count(&r, &s)
+        .unwrap();
     let (_, sorted) = SpatialJoin::new(Algorithm::pbsm_original(mem))
         .with_disk_model(model)
-        .count(&r, &s);
+        .try_count(&r, &s)
+        .unwrap();
 
     let rpm_frac = rpm.first_result_seconds().unwrap() / rpm.total_seconds();
     let sort_frac = sorted.first_result_seconds().unwrap() / sorted.total_seconds();
@@ -48,7 +50,9 @@ fn sort_phase_blocks_rpm_streams() {
 #[test]
 fn sssj_first_tuple_waits_for_sorting() {
     let (r, s) = datasets();
-    let (_, st) = SpatialJoin::new(Algorithm::sssj(16 * 1024)).count(&r, &s);
+    let (_, st) = SpatialJoin::new(Algorithm::sssj(16 * 1024))
+        .try_count(&r, &s)
+        .unwrap();
     let spatialjoin::JoinStats::Sssj(st) = &st else {
         unreachable!()
     };
@@ -89,7 +93,9 @@ fn streaming_operator_delivers_incrementally() {
 #[test]
 fn operator_drain_matches_direct_run() {
     let (r, s) = datasets();
-    let direct = SpatialJoin::new(Algorithm::pbsm_rpm(48 * 1024)).run(&r, &s);
+    let direct = SpatialJoin::new(Algorithm::pbsm_rpm(48 * 1024))
+        .try_run(&r, &s)
+        .unwrap();
     let disk = SimDisk::with_default_model();
     let mut op = SpatialJoinOp::new(
         KpeScan::new(r),
@@ -121,7 +127,9 @@ fn operator_drain_matches_direct_run() {
 #[test]
 fn s3j_streams_during_the_scan() {
     let (r, s) = datasets();
-    let (_, st) = SpatialJoin::new(Algorithm::s3j_replicated(32 * 1024)).count(&r, &s);
+    let (_, st) = SpatialJoin::new(Algorithm::s3j_replicated(32 * 1024))
+        .try_count(&r, &s)
+        .unwrap();
     let first = st.first_result_seconds().unwrap();
     assert!(first < st.total_seconds());
 }
@@ -145,7 +153,8 @@ fn first_result_is_thread_count_invariant() {
         let first_at = |threads: usize| {
             let (_, st) = SpatialJoin::new(algo.clone().with_threads(threads))
                 .with_disk_model(model)
-                .count(&r, &s);
+                .try_count(&r, &s)
+                .unwrap();
             st.first_result_seconds()
                 .expect("both joins produce results")
         };

@@ -38,14 +38,16 @@ fn refined_join_is_algorithm_independent() {
         Algorithm::sssj(32 * 1024),
     ] {
         let name = algo.name();
-        let run = SpatialJoin::new(algo).run_refined(
-            &r.kpes,
-            &s.kpes,
-            SegmentIntersect {
-                r: &r.segments,
-                s: &s.segments,
-            },
-        );
+        let run = SpatialJoin::new(algo)
+            .try_run_refined(
+                &r.kpes,
+                &s.kpes,
+                SegmentIntersect {
+                    r: &r.segments,
+                    s: &s.segments,
+                },
+            )
+            .unwrap();
         let mut got: Vec<(u64, u64)> = run.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
         got.sort_unstable();
         assert_eq!(got, want, "{name}");
@@ -60,7 +62,7 @@ fn distance_join_matches_exact_brute_force() {
     let s = gen(4, 500);
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
     for eps in [0.0, 0.001, 0.01] {
-        let run = join.within_distance(&r, &s, eps);
+        let run = join.try_within_distance(&r, &s, eps).unwrap();
         let mut got: Vec<(u64, u64)> = run.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
         got.sort_unstable();
         let mut want = Vec::new();
@@ -83,7 +85,7 @@ fn distance_join_is_monotone_in_eps() {
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
     let mut last = 0usize;
     for eps in [0.0, 0.0005, 0.002, 0.008] {
-        let run = join.within_distance(&r, &s, eps);
+        let run = join.try_within_distance(&r, &s, eps).unwrap();
         assert!(
             run.pairs.len() >= last,
             "result count dropped when eps grew to {eps}"
@@ -97,15 +99,17 @@ fn eps_zero_distance_join_equals_intersection_refinement() {
     let r = gen(7, 700);
     let s = gen(8, 700);
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
-    let d0 = join.within_distance(&r, &s, 0.0);
-    let exact = join.run_refined(
-        &r.kpes,
-        &s.kpes,
-        SegmentIntersect {
-            r: &r.segments,
-            s: &s.segments,
-        },
-    );
+    let d0 = join.try_within_distance(&r, &s, 0.0).unwrap();
+    let exact = join
+        .try_run_refined(
+            &r.kpes,
+            &s.kpes,
+            SegmentIntersect {
+                r: &r.segments,
+                s: &s.segments,
+            },
+        )
+        .unwrap();
     let mut a: Vec<(u64, u64)> = d0.pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
     let mut b: Vec<(u64, u64)> = exact.pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
     a.sort_unstable();
@@ -124,14 +128,16 @@ fn raster_filter_is_metamorphic_no_op_for_intersection() {
     for algo in [Algorithm::pbsm_rpm(32 * 1024), Algorithm::two_layer(32 * 1024)] {
         let name = algo.name();
         let join = SpatialJoin::new(algo);
-        let plain = join.run_refined(
-            &r.kpes,
-            &s.kpes,
-            SegmentIntersect {
-                r: &r.segments,
-                s: &s.segments,
-            },
-        );
+        let plain = join
+            .try_run_refined(
+                &r.kpes,
+                &s.kpes,
+                SegmentIntersect {
+                    r: &r.segments,
+                    s: &s.segments,
+                },
+            )
+            .unwrap();
         for curve in [Curve::Peano, Curve::Hilbert] {
             let filtered = join
                 .try_run_refined_raster(&r, &s, curve)
@@ -157,7 +163,7 @@ fn raster_filter_is_metamorphic_no_op_for_distance() {
     let s = gen(14, 700);
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
     for eps in [0.001, 0.02] {
-        let plain = join.within_distance(&r, &s, eps);
+        let plain = join.try_within_distance(&r, &s, eps).unwrap();
         let filtered = join
             .try_within_distance_raster(&r, &s, eps, Curve::Hilbert)
             .expect("fault-free run");
@@ -175,7 +181,9 @@ fn raster_filter_is_metamorphic_no_op_for_distance() {
 fn rtree_join_agrees_with_pbsm_filter() {
     let r = gen(9, 2000);
     let s = gen(10, 2000);
-    let run = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024)).run(&r.kpes, &s.kpes);
+    let run = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024))
+        .try_run(&r.kpes, &s.kpes)
+        .unwrap();
     let mut want: Vec<(u64, u64)> = run.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
     want.sort_unstable();
     let tr = rtree::RTree::bulk(&r.kpes, 48);
@@ -184,4 +192,29 @@ fn rtree_join_agrees_with_pbsm_filter() {
     rtree::rtree_join(&tr, &ts, &mut |a, b| got.push((a.id.0, b.id.0)));
     got.sort_unstable();
     assert_eq!(got, want);
+}
+
+/// A negative or NaN ε is a refused configuration, not a panic: both the
+/// exact and the raster distance paths answer with a typed `setup` error
+/// before any join work.
+#[test]
+fn invalid_eps_is_refused_with_a_typed_setup_error() {
+    let r = gen(11, 200);
+    let s = gen(12, 200);
+    let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
+    for eps in [-1.0, f64::NAN] {
+        let exact = join.try_within_distance(&r, &s, eps);
+        let raster = join.try_within_distance_raster(&r, &s, eps, Curve::Hilbert);
+        for (path, res) in [("exact", exact), ("raster", raster)] {
+            let err = res
+                .err()
+                .unwrap_or_else(|| panic!("{path} path accepted eps {eps}"));
+            assert_eq!(err.phase, "setup", "{path} path, eps {eps}");
+            assert_eq!(
+                err.io().map(|io| io.kind),
+                Some(spatial_join_suite::IoErrorKind::Unsupported),
+                "{path} path, eps {eps}"
+            );
+        }
+    }
 }

@@ -454,6 +454,21 @@ fn protocol_rejects_garbage_without_dying() {
             &bad[..bad.len().min(40)]
         );
     }
+    // A budget below one disk page is refused before the join starts. With
+    // both names registered nothing else can refuse the request: 1e-9 MB
+    // truncates to a 0-byte budget, which the partitioning formula divides
+    // by, and the daemon would die asking for ~2^32 partitions.
+    register_ab(addr);
+    for mem_mb in ["1e-9", "0.0001"] {
+        let line =
+            format!("{{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"mem_mb\":{mem_mb}}}");
+        let resp = c.request(&line).expect("error response");
+        let kind = resp
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str);
+        assert_eq!(kind, Some("bad_request"), "mem_mb {mem_mb}: {resp}");
+    }
     // Session still alive after every rejection.
     assert_eq!(
         c.request("{\"cmd\":\"ping\"}").expect("ping").get("ok").and_then(Json::as_str),
