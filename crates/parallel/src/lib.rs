@@ -1,9 +1,10 @@
 //! A minimal ordered fan-out pool for partition-level join parallelism.
 //!
 //! Both PBSM and S³J reduce the external join to a sequence of *independent*
-//! in-memory joins on pairs of partitions. This crate runs those pairs
-//! across worker threads while preserving two properties the rest of the
-//! workspace depends on:
+//! in-memory joins on pairs of partitions. [`run_ordered`], the one pool,
+//! runs those units across worker threads (the partition driver,
+//! `storage::PartitionSink`, is its caller) while preserving two properties
+//! the rest of the workspace depends on:
 //!
 //! 1. **Deterministic output order.** Every task is tagged with its index
 //!    and the collector re-assembles completions into canonical order
@@ -15,13 +16,12 @@
 //!    created on the worker thread and returned to the caller for a
 //!    deterministic merge once all tasks finish.
 //!
-//! Scheduling is dynamic: workers claim the next unclaimed task index from
-//! a shared atomic counter, so a straggler partition does not idle the rest
-//! of the pool (the work-stealing effect without per-worker deques — there
-//! is a single global queue of indices and stealing is the common case).
+//! Scheduling is dynamic: workers claim the next unclaimed task from one
+//! shared queue, so a straggler partition does not idle the rest of the
+//! pool (the work-stealing effect without per-worker deques).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -216,101 +216,8 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `n_tasks` independent tasks over `threads` workers, delivering each
-/// task's output to `sink` **in canonical task order** on the calling
-/// thread, streaming (a completed task is emitted as soon as every earlier
-/// task has been emitted — the collector never waits for the whole batch).
-///
-/// * `init(worker_idx)` builds one worker's private state on its thread.
-/// * `task(&mut state, task_idx)` runs one task; tasks are claimed from a
-///   shared counter, so assignment to workers is dynamic and non-
-///   deterministic — outputs must not depend on which worker ran them.
-/// * `sink(task_idx, output)` observes outputs in order 0, 1, 2, ….
-///
-/// Cooperative cancellation: each worker polls `cancel` before claiming its
-/// next task and stops claiming once the token trips. Tasks are claimed in
-/// index order, so the sink observes exactly the contiguous prefix of tasks
-/// claimed before the trip — a cancelled run's partial output is a clean
-/// prefix, never a gapped subset.
-///
-/// Returns every worker's final state (indexed by worker), for the caller
-/// to merge deterministically. Panics in `task` propagate.
-pub fn run_ordered_with<S, T, FInit, FTask, FSink>(
-    threads: usize,
-    n_tasks: usize,
-    cancel: Option<&CancelToken>,
-    init: FInit,
-    task: FTask,
-    sink: FSink,
-) -> Vec<S>
-where
-    S: Send,
-    T: Send,
-    FInit: Fn(usize) -> S + Sync,
-    FTask: Fn(&mut S, usize) -> T + Sync,
-    FSink: FnMut(usize, T),
-{
-    let threads = threads.max(1).min(n_tasks.max(1));
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let tx = tx.clone();
-                let next = &next;
-                let init = &init;
-                let task = &task;
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    loop {
-                        if cancel.is_some_and(|c| c.is_cancelled()) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tasks {
-                            break;
-                        }
-                        let out = task(&mut state, i);
-                        // The receiver outlives the scope; send cannot fail
-                        // unless the collector below panicked first.
-                        let _ = tx.send((i, out));
-                    }
-                    state
-                })
-            })
-            .collect();
-        drop(tx);
-        reassemble(rx, sink);
-        join_workers(handles)
-    })
-}
-
-/// Canonical-order reassembly on the calling thread: buffers out-of-order
-/// completions and flushes the contiguous prefix to `sink` as it forms.
-/// Returns once every worker has hung up its sender.
-fn reassemble<T>(rx: mpsc::Receiver<(usize, T)>, mut sink: impl FnMut(usize, T)) {
-    let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-    let mut emit_next = 0usize;
-    for (i, out) in rx {
-        pending.insert(i, out);
-        while let Some(out) = pending.remove(&emit_next) {
-            sink(emit_next, out);
-            emit_next += 1;
-        }
-    }
-}
-
-/// Joins the scoped workers, returning their final states in worker order.
-fn join_workers<S>(handles: Vec<std::thread::ScopedJoinHandle<'_, S>>) -> Vec<S> {
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("parallel worker panicked"))
-        .collect()
-}
-
-/// Scheduling state of [`run_ordered_prefetch_fallible_with`]: fresh task
-/// indices come from `next`, failed tasks wait in `retries` for any worker
-/// to pick up.
+/// Scheduling state of [`run_ordered`]: fresh task indices come from
+/// `next`, failed tasks wait in `retries` for any worker to pick up.
 struct Requeue {
     next: usize,
     retries: Vec<(usize, u32)>, // (task index, round = prior failures)
@@ -318,10 +225,9 @@ struct Requeue {
     requeues: u64,
 }
 
-/// Scheduler-level counters from one [`run_ordered_prefetch_fallible_with`]
-/// run, counted by the shared queue itself — independent of whatever the
-/// per-worker states accumulate, so callers can cross-check their own
-/// accounting.
+/// Scheduler-level counters from one [`run_ordered`] run, counted by the
+/// shared queue itself — independent of whatever the per-worker states
+/// accumulate, so callers can cross-check their own accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Fresh task indices claimed (≤ `n_tasks` under cancellation).
@@ -384,17 +290,32 @@ fn claim_job(
     }
 }
 
-/// [`run_ordered_with`] for fallible tasks, with bounded requeueing and a
-/// split **load / compute** pipeline.
+/// Runs `n_tasks` independent fallible tasks over `threads` workers,
+/// delivering each task's final result to `sink` **in canonical task
+/// order** on the calling thread, streaming (a completed task is emitted as
+/// soon as every earlier task has been emitted — the collector never waits
+/// for the whole batch). A task runs in two stages, a **load** and a
+/// **compute**, with bounded requeueing.
+///
+/// * `init(worker_idx)` builds one worker's private state on its thread.
+/// * `load(&mut state, task_idx, round)` performs the task's input I/O and
+///   returns whatever the compute stage needs. It runs exactly once per
+///   (task, round) — a requeued round re-loads.
+/// * `task(&mut state, task_idx, round, loaded)` consumes the loaded input;
+///   `round = 0` on the first run and `round = k` on the `k`-th requeue.
+///   Both stages of one task run on the same worker (same forked meter), in
+///   order, so per-task deltas stay exact. Tasks are claimed from a shared
+///   queue, so assignment to workers is dynamic and non-deterministic —
+///   outputs must not depend on which worker ran them.
+/// * `sink(task_idx, result)` observes exactly one final result per task,
+///   in order 0, 1, 2, ….
 ///
 /// Requeueing: a task that returns `Err` goes back into the shared queue up
-/// to `max_requeues` times before its final `Err` is delivered to the sink.
-/// Each retry runs on whichever worker claims it (round-robin recovery: a
-/// partition whose worker exhausted its I/O retry budget gets a fresh
-/// chance, and the storage layer's shared per-identity fault counters have
-/// advanced in the meantime, so deterministic transient faults are
-/// eventually consumed). The sink observes exactly one final `Result` per
-/// task, in canonical order.
+/// to `max_requeues` times before its final `Err` is delivered. Each retry
+/// runs on whichever worker claims it (round-robin recovery: a partition
+/// whose worker exhausted its I/O retry budget gets a fresh chance, and the
+/// storage layer's shared per-identity fault counters have advanced in the
+/// meantime, so deterministic transient faults are eventually consumed).
 ///
 /// Pipelining: each worker claims and `load`s task `k+1` *before* computing
 /// task `k`, so on a multi-channel disk the next partition's pages stream in
@@ -402,22 +323,18 @@ fn claim_job(
 /// (double-buffered prefetch — the channel model turns the overlap into
 /// hidden simulated time).
 ///
-/// * `load(&mut state, task_idx, round)` performs the task's input I/O and
-///   returns whatever the compute stage needs. It runs exactly once per
-///   (task, round) — a requeued round re-loads.
-/// * `task(&mut state, task_idx, round, loaded)` consumes the loaded input;
-///   `round = 0` on the first run and `round = k` on the `k`-th requeue.
-///   Both stages of one task run on the same worker (same forked meter), in
-///   order, so per-task I/O deltas stay exact.
+/// Cooperative cancellation: workers poll `cancel` before claiming (fresh
+/// indices *and* queued retries) and stop claiming once it trips; claimed
+/// tasks — a prefetched one included — still complete. Fresh tasks are
+/// claimed in index order, so the sink observes the contiguous prefix of
+/// tasks claimed before the trip: a cancelled run's partial output is a
+/// clean prefix, never a gapped subset.
 ///
-/// Cancellation follows [`run_ordered_with`]: workers stop claiming (fresh
-/// indices *and* queued retries) once the token trips and in-flight tasks
-/// finish. A prefetched task was *claimed*, so it is computed even if the
-/// token trips before its turn, preserving the clean-prefix property.
-/// Worker states are returned as in [`run_ordered_with`], with the
-/// scheduler's own [`PoolStats`].
+/// Returns every worker's final state (indexed by worker), for the caller
+/// to merge deterministically, with the scheduler's own [`PoolStats`].
+/// Panics in a stage propagate.
 #[allow(clippy::too_many_arguments)] // the pool's knobs plus its three stages
-pub fn run_ordered_prefetch_fallible_with<S, L, T, E, FInit, FLoad, FTask, FSink>(
+pub fn run_ordered<S, L, T, E, FInit, FLoad, FTask, FSink>(
     threads: usize,
     n_tasks: usize,
     max_requeues: u32,
@@ -425,7 +342,7 @@ pub fn run_ordered_prefetch_fallible_with<S, L, T, E, FInit, FLoad, FTask, FSink
     init: FInit,
     load: FLoad,
     task: FTask,
-    sink: FSink,
+    mut sink: FSink,
 ) -> (Vec<S>, PoolStats)
 where
     S: Send,
@@ -486,15 +403,14 @@ where
                             let l = load(&mut state, j, r);
                             held = Some((j, r, l, g));
                         }
-                        let res = task(&mut state, i, round, loaded);
-                        match res {
-                            Err(e) if round < max_requeues => {
+                        match task(&mut state, i, round, loaded) {
+                            Err(_) if round < max_requeues => {
                                 let mut q = queue.lock().expect("requeue lock");
                                 q.retries.push((i, round + 1));
                                 q.requeues += 1;
-                                drop(q);
-                                drop(e);
                             }
+                            // The receiver outlives the scope; send cannot
+                            // fail unless the collector below panicked first.
                             final_res => {
                                 let _ = tx.send((i, final_res));
                             }
@@ -506,8 +422,22 @@ where
             })
             .collect();
         drop(tx);
-        reassemble(rx, sink);
-        let states = join_workers(handles);
+        // Canonical-order reassembly on the calling thread: buffer
+        // out-of-order completions and flush the contiguous prefix as it
+        // forms, until every worker has hung up its sender.
+        let mut pending: BTreeMap<usize, Result<T, E>> = BTreeMap::new();
+        let mut emit_next = 0usize;
+        for (i, out) in rx {
+            pending.insert(i, out);
+            while let Some(out) = pending.remove(&emit_next) {
+                sink(emit_next, out);
+                emit_next += 1;
+            }
+        }
+        let states: Vec<S> = handles
+            .into_iter()
+            .map(|h| h.join().expect("parallel worker panicked"))
+            .collect();
         let q = match queue.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -525,16 +455,40 @@ where
 mod tests {
     use super::*;
 
+    /// A pool run with no load stage and no failures.
+    fn run_plain<S: Send, T: Send>(
+        threads: usize,
+        n_tasks: usize,
+        cancel: Option<&CancelToken>,
+        init: impl Fn(usize) -> S + Sync,
+        task: impl Fn(&mut S, usize) -> T + Sync,
+        mut sink: impl FnMut(usize, T),
+    ) -> Vec<S> {
+        let (states, pool) = run_ordered(
+            threads,
+            n_tasks,
+            0,
+            cancel,
+            init,
+            |_, _, _| (),
+            |state, i, _round, ()| Ok::<T, ()>(task(state, i)),
+            |i, out| sink(i, out.expect("infallible task")),
+        );
+        assert_eq!(pool.requeues, 0);
+        states
+    }
+
     #[test]
-    fn outputs_arrive_in_canonical_order() {
+    fn outputs_arrive_in_canonical_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
         for threads in [1, 2, 4, 8] {
             let mut seen = Vec::new();
-            let states = run_ordered_with(
+            let states = run_plain(
                 threads,
                 100,
                 None,
-                |_w| 0usize,
-                |count, i| {
+                |w| (w, 0usize),
+                |(_, count), i| {
                     *count += 1;
                     // Uneven task costs to force out-of-order completion.
                     if i % 7 == 0 {
@@ -542,43 +496,19 @@ mod tests {
                     }
                     i * 3
                 },
-                |i, out| seen.push((i, out)),
+                |i, out| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    seen.push((i, out));
+                },
             );
             assert_eq!(seen, (0..100).map(|i| (i, i * 3)).collect::<Vec<_>>());
-            assert_eq!(states.iter().sum::<usize>(), 100, "every task ran once");
+            // One state per worker, in worker order; every task ran once.
+            assert_eq!(states.len(), threads);
+            for (w, (id, _)) in states.iter().enumerate() {
+                assert_eq!(*id, w);
+            }
+            assert_eq!(states.iter().map(|(_, n)| n).sum::<usize>(), 100);
         }
-    }
-
-    #[test]
-    fn zero_tasks_is_fine() {
-        let states = run_ordered_with(
-            4,
-            0,
-            None,
-            |_| (),
-            |_, _i: usize| (),
-            |_, _| panic!("no tasks"),
-        );
-        assert_eq!(states.len(), 1, "pool clamps to one idle worker");
-    }
-
-    #[test]
-    fn worker_states_are_returned_per_worker() {
-        let states = run_ordered_with(
-            3,
-            30,
-            None,
-            |w| (w, 0u32),
-            |(_, n), _i| {
-                *n += 1;
-            },
-            |_, _| {},
-        );
-        assert_eq!(states.len(), 3);
-        for (w, (id, _)) in states.iter().enumerate() {
-            assert_eq!(*id, w);
-        }
-        assert_eq!(states.iter().map(|(_, n)| n).sum::<u32>(), 30);
     }
 
     #[test]
@@ -604,29 +534,16 @@ mod tests {
     }
 
     #[test]
-    fn sink_runs_on_the_calling_thread() {
-        let caller = std::thread::current().id();
-        run_ordered_with(
-            4,
-            16,
-            None,
-            |_| (),
-            |_, i| i,
-            |_, _| assert_eq!(std::thread::current().id(), caller),
-        );
-    }
-
-    #[test]
     fn prefetch_pool_requeues_up_to_cap() {
         use std::collections::HashMap;
         use std::sync::Mutex as StdMutex;
         // Task i fails its first `i % 3` runs; with cap 2 every task
         // eventually succeeds, in canonical order, reporting the round it
         // succeeded on, with load running exactly once per (task, round).
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 4, 8] {
             let loads: StdMutex<HashMap<(usize, u32), u32>> = StdMutex::new(HashMap::new());
             let mut seen = Vec::new();
-            let (_, pool) = run_ordered_prefetch_fallible_with(
+            let (_, pool) = run_ordered(
                 threads,
                 30,
                 2,
@@ -675,7 +592,7 @@ mod tests {
     fn prefetch_pool_surfaces_final_error_after_cap() {
         for threads in [1, 3] {
             let mut results = Vec::new();
-            let (_, pool) = run_ordered_prefetch_fallible_with(
+            let (_, pool) = run_ordered(
                 threads,
                 10,
                 1,
@@ -708,7 +625,7 @@ mod tests {
         for threads in [1, 4] {
             let token = CancelToken::new();
             let mut seen = Vec::new();
-            run_ordered_prefetch_fallible_with(
+            run_ordered(
                 threads,
                 100,
                 0,
@@ -723,6 +640,8 @@ mod tests {
                 },
                 |i, out| seen.push((i, out)),
             );
+            // Everything emitted is the contiguous prefix 0..k, and the trip
+            // stopped the pool well short of the full run.
             assert!(seen.len() < 100, "pool ran to completion despite cancel");
             for (idx, (i, out)) in seen.iter().enumerate() {
                 assert_eq!((idx, Ok(idx)), (*i, *out));
@@ -733,7 +652,7 @@ mod tests {
 
     #[test]
     fn prefetch_pool_zero_tasks_is_fine() {
-        let (states, pool) = run_ordered_prefetch_fallible_with(
+        let (states, pool) = run_ordered(
             4,
             0,
             3,
@@ -743,7 +662,7 @@ mod tests {
             |_, _s, _i, _r| Ok::<(), ()>(()),
             |_, _| panic!("no tasks"),
         );
-        assert_eq!(states.len(), 1);
+        assert_eq!(states.len(), 1, "pool clamps to one idle worker");
         assert_eq!(pool, PoolStats::default());
     }
 
@@ -789,38 +708,10 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_ordered_pool_emits_a_clean_prefix() {
-        for threads in [1, 4] {
-            let token = CancelToken::new();
-            let mut seen = Vec::new();
-            run_ordered_with(
-                threads,
-                100,
-                Some(&token),
-                |_| (),
-                |_, i| {
-                    if i == 10 {
-                        token.cancel();
-                    }
-                    i
-                },
-                |i, out| seen.push((i, out)),
-            );
-            // Everything emitted is the contiguous prefix 0..k, and the trip
-            // stopped the pool well short of the full run.
-            assert!(seen.len() < 100, "pool ran to completion despite cancel");
-            for (idx, (i, out)) in seen.iter().enumerate() {
-                assert_eq!((idx, idx), (*i, *out));
-            }
-            assert!(seen.len() >= 11, "tasks claimed before the trip complete");
-        }
-    }
-
-    #[test]
     fn cancelled_prefetch_pool_stops_claiming_retries() {
         let token = CancelToken::new();
         let mut seen = Vec::new();
-        let (_, pool) = run_ordered_prefetch_fallible_with(
+        let (_, pool) = run_ordered(
             2,
             50,
             3,

@@ -2,9 +2,9 @@ use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId};
 use storage::{
-    try_external_sort, try_read_all, ClockPos, DiskModel, FileId, Finished, IdPair, IoError,
-    IoStats, JoinError, PartitionSink, Phase, PhaseCost, RecordReader, RecordWriter, RunControl,
-    RunCost, RunPhase, SimDisk, SortStats,
+    try_external_sort, try_read_all, Accounting, DiskModel, FileId, FirstRule, IdPair, IoError,
+    IoStats, JoinError, PartitionSink, Phase, PhaseCost, Pool, RecordReader, RecordWriter,
+    RunControl, RunCost, RunPhase, SimDisk, SortStats, Unit, UnitCx, UnitPlan, UnitWorker,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -212,15 +212,40 @@ impl PbsmStats {
     }
 }
 
+/// One join-phase worker's state: the coordinator's own when the partition
+/// driver runs inline, one per pool worker otherwise.
+struct Worker {
+    stats: PbsmStats,
+    internal: Box<dyn InternalJoin + Send>,
+    /// The current unit's sort-phase candidates.
+    cand: Vec<IdPair>,
+}
+
+impl UnitWorker for Worker {
+    type Snapshot = PbsmStats;
+
+    fn counts(&self) -> (u64, u64, u64) {
+        (self.stats.candidates, self.stats.results, self.stats.duplicates)
+    }
+
+    fn snapshot(&self) -> PbsmStats {
+        self.stats.clone()
+    }
+
+    fn rollback(&mut self, snap: PbsmStats) {
+        let attempted = std::mem::replace(&mut self.stats, snap);
+        self.stats.cost = attempted.cost;
+    }
+}
+
 struct Ctx<'a> {
     disk: &'a SimDisk,
     cfg: &'a PbsmConfig,
     internal: &'a mut (dyn InternalJoin + Send),
     stats: &'a mut PbsmStats,
-    /// Compute clock for the join/repartition CPU accounting: wall
-    /// time on the sequential path, a per-worker [`parallel::WorkClock`] on
-    /// the parallel path (so the max-over-workers reduction reports the
-    /// phase cost on dedicated cores, not host timeslicing).
+    /// The running thread's on-CPU clock, for the join/repartition CPU
+    /// accounting (so the max-over-workers reduction reports the phase cost
+    /// on dedicated cores, not host timeslicing).
     clock: &'a dyn Fn() -> f64,
     /// The source relations, kept around so a partition file lost to
     /// *persistent* media damage can be quarantined and its pair recomputed
@@ -264,7 +289,7 @@ struct Ctx<'a> {
 /// resume; both are refused up front with a typed `Unsupported` error.
 ///
 /// Under checkpointing each partition's result pairs are buffered and handed
-/// to [`PartitionSink::commit_and_emit`], which flushes them durably,
+/// to the partition driver ([`PartitionSink`]), which flushes them durably,
 /// journals the partition (the commit point — crash injection fires there),
 /// and only then emits them. An interrupted run has therefore emitted
 /// exactly its committed partitions' pairs, and a resumed run emits exactly
@@ -430,419 +455,176 @@ pub fn try_pbsm_join(
     // `io0`, so a reused disk's earlier charges never leak into the probe).
     let base_io = disk.stats().delta(&io0);
     let threads = parallel::resolve_threads(cfg.threads);
-    // On-CPU compute clock (wall fallback) so sequential and parallel
-    // join-phase measurements share a basis — see `Ctx::clock`.
+    // On-CPU compute clock (wall fallback) for the coordinator's share of
+    // the simulated clock, on the same basis as the workers' clocks.
     let coord_clock = parallel::WorkClock::start();
     // Simulated time so far — what the deadline is charged against at every
     // partition boundary.
-    let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + coord_clock.seconds());
-    // Join-phase work units still to do: a resumed run skips every
-    // journal-committed partition (whose pairs the crashed process already
-    // emitted after its commit — skipping them is what makes resume
-    // exactly-once).
-    let todo: Vec<u32> = (0..p).filter(|&i| !sink.is_committed(i)).collect();
-    if p == 1 || threads <= 1 {
-        // Streaming sequential executor, for threads = 1 and for the
-        // single-partition plan at any thread count (its one pair is the
-        // whole input, already in memory). An unchecked run's pairs reach
-        // `out` while their partition is still joining, so the first result
-        // never waits for a whole partition. After the first terminal error
-        // the remaining pairs are skipped; without a checkpoint all
-        // partition files are still deleted, with one they are left in
-        // place — an interruption must not destroy the state a resume
-        // needs, and `finish`/the recovery scan reclaim them.
-        let mut internal = cfg.internal.create();
-        let wall_clock = || coord_clock.seconds();
-        for &i in &todo {
-            if sink.charge("join", elapsed_now()) {
-                let chain = RegionChain::top(grid, map, i);
-                let base = (stats.candidates, stats.results, stats.duplicates);
-                let cpu0 = coord_clock.seconds();
-                let io0s = disk.stats();
-                let pos = || {
-                    (
-                        cpu_base + (coord_clock.seconds() - cpu0),
-                        base_io.plus(&disk.stats().delta(&io0s)),
-                    )
-                };
-                let mut first: Option<ClockPos> = None;
-                let mut buffered: Vec<(RecordId, RecordId)> = Vec::new();
-                let res = {
-                    let mut emit = |a: RecordId, b: RecordId| {
-                        if checkpointing {
-                            buffered.push((a, b));
-                        } else {
-                            if first.is_none() {
-                                first = Some(pos());
-                            }
-                            out(a, b);
-                        }
-                    };
-                    let mut cand = |pair: IdPair| {
-                        candidates
-                            .as_mut()
-                            .expect("sort-phase candidate writer (Some iff Dedup::SortPhase)")
-                            .try_push(&pair)
-                    };
-                    let mut ctx = Ctx {
-                        disk,
-                        cfg,
-                        internal: &mut *internal,
-                        stats: &mut stats,
-                        clock: &wall_clock,
-                        sources: (r, s),
-                    };
-                    match (files_r.get(i as usize), files_s.get(i as usize)) {
-                        (Some(&fr), Some(&fs)) => join_pair(
-                            &mut ctx,
-                            fr,
-                            fs,
-                            &chain,
-                            0,
-                            (false, false),
-                            i,
-                            None,
-                            &mut emit,
-                            &mut cand,
-                        ),
-                        // The single-partition plan wrote no files: its one
-                        // pair is the whole input, joined from memory.
-                        _ => {
-                            let c0 = coord_clock.seconds();
-                            let (mut rv, mut sv) = (r.to_vec(), s.to_vec());
-                            let joined = join_loaded(
-                                &mut ctx, &mut rv, &mut sv, &chain, &mut emit, &mut cand,
-                            );
-                            ctx.stats.cost[Phase::Join].cpu += coord_clock.seconds() - c0;
-                            joined.map_err(|e| JoinError::new("dedup", e))
-                        }
-                    }
-                };
-                match res {
-                    Ok(()) => {
-                        if checkpointing && !buffered.is_empty() {
-                            first = Some(pos());
-                        }
-                        let unit = Finished {
-                            partition: i,
-                            chunk: None,
-                            counts: (
-                                stats.candidates - base.0,
-                                stats.results - base.1,
-                                stats.duplicates - base.2,
-                            ),
-                            io: Some(disk.stats().delta(&io0s)),
-                            pairs: &buffered,
-                            first,
-                        };
-                        sink.commit_and_emit(unit, &elapsed_now, out);
-                    }
-                    Err(e) => sink.fail(e),
-                }
-            }
-            if !checkpointing {
-                for f in [files_r.get(i as usize), files_s.get(i as usize)]
-                    .into_iter()
-                    .flatten()
-                {
-                    disk.delete(*f);
-                }
-            }
-        }
-        stats.join_counters.merge(&internal.counters());
-        sink.check()?;
-    } else {
-        // Parallel executor: each top-level partition pair (including its
-        // repartitioning recursion) is one task. Workers run on forked I/O
-        // counters; task outputs are re-assembled in partition order, so
-        // the emitted stream — and, for the sort phase, the candidate file
-        // — is byte-identical to the sequential path. Every task's pairs are
-        // buffered until the coordinator delivers them, so this executor
-        // serves multi-partition runs at threads > 1 only.
-        struct TaskOut {
-            pairs: Vec<(RecordId, RecordId)>,
-            cand: Vec<IdPair>,
-            /// Forked-meter delta of this task, folded into the
-            /// coordinator's deadline estimate as results land (the full
-            /// fork meters merge only after the pool drains).
-            io: IoStats,
-            /// On-CPU seconds this task cost its worker.
-            cpu: f64,
-            /// This task's own (CPU delta, I/O delta) at its first pair —
-            /// the task-local leg of the pipelined first-result probe.
-            first: Option<ClockPos>,
-            /// (candidates, results, duplicates) this task produced — the
-            /// journal record of its partition.
-            deltas: (u64, u64, u64),
-        }
-        /// Load-stage handoff of the software pipeline: the preload outcome
-        /// plus what it cost. The compute stage folds `io`/`cpu` into the
-        /// attempt's join-phase buckets, so the phase decomposition is
-        /// identical whether the load ran early or inline.
-        struct Prefetch {
-            outcome: Option<Preloaded>,
-            io: IoStats,
-            cpu: f64,
-        }
-        let mut est_io = IoStats::default();
-        let todo_ref = &todo;
-        let cancel = sink.pool_cancel();
-        let (workers, pool) = parallel::run_ordered_prefetch_fallible_with(
-            threads,
-            todo.len(),
-            cfg.max_partition_requeues,
-            Some(&cancel),
-            |_w| {
-                (
-                    disk.fork_counters(),
-                    cfg.internal.create(),
-                    PbsmStats::new(model),
-                    parallel::WorkClock::start(),
-                )
-            },
-            // Load stage: pull the next claimed pair into memory while the
-            // previous pair is still computing — the double-buffering the
-            // multi-channel clock credits as hidden I/O. It runs on the
-            // same worker and forked meter as the compute stage, in claim
-            // order, so per-task deltas and the fault-attempt sequence are
-            // exactly the sequential path's.
-            |(fork, _internal, _partial, work_clock), idx, _round| {
-                let i = todo_ref[idx];
-                let c0 = work_clock.seconds();
-                let io0 = fork.stats();
-                let fork_ref: &SimDisk = fork;
-                let outcome = (|| {
-                    let br = fork_ref.try_len(files_r[i as usize]).ok()?;
-                    let bs = fork_ref.try_len(files_s[i as usize]).ok()?;
-                    // Only a pair the join phase would load whole is worth
-                    // prefetching; empty and over-budget pairs reach
-                    // `join_pair` untouched (`try_len` is free and not
-                    // fault-injected, so its re-check drifts nothing).
-                    if br == 0 || bs == 0 || (br + bs) as usize > cfg.mem_bytes {
-                        return None;
-                    }
-                    Some(
-                        match try_read_all::<Kpe>(fork_ref, files_r[i as usize], cfg.io_buffer_pages)
-                        {
-                            Ok(rv) => match try_read_all::<Kpe>(
-                                fork_ref,
-                                files_s[i as usize],
-                                cfg.io_buffer_pages,
-                            ) {
-                                Ok(sv) => Preloaded::Loaded(rv, sv),
-                                Err(err) => Preloaded::Failed {
-                                    err,
-                                    failed_r: false,
-                                },
-                            },
-                            Err(err) => Preloaded::Failed {
-                                err,
-                                failed_r: true,
-                            },
-                        },
-                    )
-                })();
-                Prefetch {
-                    outcome,
-                    io: fork_ref.stats().delta(&io0),
-                    cpu: work_clock.seconds() - c0,
-                }
-            },
-            |(fork, internal, partial, work_clock), idx, round, pre| {
-                let i = todo_ref[idx];
-                if round > 0 {
-                    partial.requeued_partitions += 1;
-                }
-                // Snapshot the logical counters: a failed attempt's partial
-                // work is discarded (the pool requeues the whole task), so
-                // its counts must not leak into the merged stats. The forked
-                // I/O meter is deliberately *not* rolled back — failed
-                // attempts and their retries are real simulated disk time.
-                let snapshot = partial.clone();
-                // The load stage's work is join-phase work that ran early;
-                // folding it here (after the snapshot) keeps the rollback
-                // semantics of a failed attempt: its load I/O stays charged,
-                // and the requeued round re-loads with a fresh budget.
-                partial.cost[Phase::Join].add(pre.cpu, &pre.io);
-                let io_before = fork.stats();
-                let cpu_before = work_clock.seconds();
-                let chain = RegionChain::top(grid, map, i);
-                let mut pairs = Vec::new();
-                let mut cand = Vec::new();
-                let mut first: Option<(f64, IoStats)> = None;
-                let fork_ref: &SimDisk = fork;
-                let clock = || work_clock.seconds();
-                let mut ctx = Ctx {
-                    disk: fork_ref,
-                    cfg,
-                    internal: &mut **internal,
-                    stats: partial,
-                    clock: &clock,
-                    sources: (r, s),
-                };
-                let res = join_pair(
+    let clock = |pending: &IoStats| {
+        disk.io_seconds_with(pending) + model.scaled_cpu(cpu_base + coord_clock.seconds())
+    };
+    let plan = UnitPlan {
+        phase: "join",
+        clock: &clock,
+        charge_inline: true,
+        unit_io: true,
+        first: FirstRule::TaskOwn,
+        accounting: match cfg.dedup {
+            Dedup::ReferencePoint | Dedup::None => Accounting::Classified,
+            Dedup::SortPhase => Accounting::Collected,
+            Dedup::TwoLayer => Accounting::ExactlyOnce,
+        },
+    };
+    let base = (cpu_base, base_io);
+    let new_worker = || Worker {
+        stats: PbsmStats::new(model),
+        internal: cfg.internal.create(),
+        cand: Vec::new(),
+    };
+    // One top-level partition pair, including its repartitioning
+    // recursion. A prefetched pair arrives loaded; the single-partition
+    // plan wrote no files, so its one pair is the whole input, joined from
+    // memory. Sort-phase candidates are the unit's output, written to the
+    // candidate file in partition order as units are delivered.
+    let body = |w: &mut Worker,
+                cx: &mut UnitCx<'_>,
+                i: usize,
+                preloaded: Option<Option<Preloaded>>|
+     -> Result<Vec<IdPair>, JoinError> {
+        let Worker {
+            stats,
+            internal,
+            cand,
+        } = w;
+        cand.clear();
+        // The load stage's work is join-phase work that ran early.
+        stats.cost[Phase::Join].add(cx.pre.0, &cx.pre.1);
+        let (disk, clock) = (cx.disk, cx.clock);
+        let mut ctx = Ctx {
+            disk,
+            cfg,
+            internal: &mut **internal,
+            stats,
+            clock,
+            sources: (r, s),
+        };
+        let chain = RegionChain::top(grid, map, i as u32);
+        let mut push = |pair: IdPair| {
+            cand.push(pair);
+            Ok(())
+        };
+        match (files_r.get(i), files_s.get(i)) {
+            (Some(&fr), Some(&fs)) => join_pair(
+                &mut ctx,
+                fr,
+                fs,
+                &chain,
+                0,
+                (false, false),
+                i as u32,
+                preloaded.flatten(),
+                &mut |a, b| cx.emit(a, b),
+                &mut push,
+            )?,
+            _ => {
+                let c0 = clock();
+                let (mut rv, mut sv) = (r.to_vec(), s.to_vec());
+                let joined = join_loaded(
                     &mut ctx,
-                    files_r[i as usize],
-                    files_s[i as usize],
+                    &mut rv,
+                    &mut sv,
                     &chain,
-                    0,
-                    (false, false),
-                    i,
-                    pre.outcome,
-                    &mut |a, b| {
-                        if first.is_none() {
-                            // Task-own position includes the prefetched
-                            // load: on the pipelined clock the pair's work
-                            // starts at its load, wherever it was scheduled.
-                            first = Some((
-                                pre.cpu + (work_clock.seconds() - cpu_before),
-                                pre.io.plus(&fork_ref.stats().delta(&io_before)),
-                            ));
-                        }
-                        pairs.push((a, b));
-                    },
-                    &mut |pair| {
-                        cand.push(pair);
-                        Ok(())
-                    },
+                    &mut |a, b| cx.emit(a, b),
+                    &mut push,
                 );
-                match res {
-                    Ok(()) => Ok(TaskOut {
-                        pairs,
-                        cand,
-                        io: pre.io.plus(&fork_ref.stats().delta(&io_before)),
-                        cpu: pre.cpu + (work_clock.seconds() - cpu_before),
-                        first,
-                        deltas: (
-                            partial.candidates - snapshot.candidates,
-                            partial.results - snapshot.results,
-                            partial.duplicates - snapshot.duplicates,
-                        ),
-                    }),
-                    Err(e) => {
-                        // Roll back the logical counters only (the requeued
-                        // attempt recounts them from scratch); keep the I/O
-                        // and CPU buckets. Restoring those too dropped the
-                        // failed attempt's reads and retries from the join
-                        // bucket while the fork's meter kept them, so the
-                        // per-phase retry breakdown disagreed with the
-                        // disk's total meter.
-                        let attempted = std::mem::replace(partial, snapshot);
-                        partial.cost = attempted.cost;
-                        // A failure in the last allowed round is terminal —
-                        // the pool will not requeue past the cap — so name
-                        // the partition, the attempt count and the last I/O
-                        // error instead of the bare per-attempt error.
-                        Err(if round >= cfg.max_partition_requeues {
-                            match e.io() {
-                                Some(io) => {
-                                    JoinError::requeue_exhausted(e.phase, i, round + 1, *io)
-                                }
-                                None => e,
-                            }
-                        } else {
-                            e
-                        })
-                    }
-                }
-            },
-            |idx, result| {
-                let i = todo_ref[idx];
-                // Deadline at partition granularity: the coordinator's own
-                // meter plus every forked delta folded in so far.
-                let at = |est_io: &IoStats| {
-                    model.seconds(&disk.stats().plus(est_io))
-                        + model.scaled_cpu(cpu_base + coord_clock.seconds())
-                };
-                sink.charge("join", at(&est_io));
-                match result {
-                    Ok(t) => {
-                        est_io = est_io.plus(&t.io);
-                        // A checkpointed task's pairs wait for its durable
-                        // commit, so their position includes its full work.
-                        let first = if checkpointing {
-                            Some((cpu_base + t.cpu, base_io.plus(&t.io)))
-                        } else {
-                            t.first.map(|f| (cpu_base + f.0, base_io.plus(&f.1)))
-                        };
-                        let unit = Finished {
-                            partition: i,
-                            chunk: None,
-                            counts: t.deltas,
-                            io: Some(t.io),
-                            pairs: &t.pairs,
-                            first,
-                        };
-                        sink.commit_and_emit(unit, &|| at(&est_io), out);
-                        if let Some(w) = candidates.as_mut().filter(|_| sink.is_live()) {
-                            for pair in t.cand {
-                                if let Err(e) = w.try_push(&pair) {
-                                    sink.fail(JoinError::new("dedup", e));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => sink.fail(e),
-                }
-                if !checkpointing {
-                    disk.delete(files_r[i as usize]);
-                    disk.delete(files_s[i as usize]);
-                }
-            },
-        );
-        for (fork, internal, mut partial, _clock) in workers {
-            partial.join_counters.merge(&internal.counters());
-            // Per-worker duplicate accounting, checked before the merge can
-            // hide an interleaving bug: under RPM (and the raw diagnostic)
-            // every candidate a worker saw was classified exactly once;
-            // under the sort phase workers only collect candidates and must
-            // not classify anything.
-            match cfg.dedup {
-                Dedup::ReferencePoint | Dedup::None => debug_assert_eq!(
-                    partial.candidates,
-                    partial.results + partial.duplicates,
-                    "per-worker RPM accounting broken"
-                ),
-                Dedup::SortPhase => debug_assert_eq!(
-                    (partial.results, partial.duplicates),
-                    (0, 0),
-                    "sort-phase worker classified candidates"
-                ),
-                Dedup::TwoLayer => debug_assert!(
-                    partial.candidates == partial.results && partial.duplicates == 0,
-                    "two-layer worker produced a duplicate"
-                ),
+                ctx.stats.cost[Phase::Join].cpu += clock() - c0;
+                joined.map_err(|e| JoinError::new("dedup", e))?
             }
-            stats.merge(&partial);
-            // Fold the worker's forked meter back bucket-wise so both
-            // `disk.stats()` and the per-channel decomposition report the
-            // same totals as a sequential run.
-            disk.add_channel_stats(&fork.channel_stats());
         }
-        // Cross-check the scheduler's own requeue count against the
-        // per-worker accounting (they can only diverge when a cancellation
-        // leaves a queued retry unclaimed).
-        if sink.is_live() && !cancel.is_cancelled() {
-            debug_assert_eq!(
-                u64::from(stats.requeued_partitions),
-                pool.requeues,
-                "scheduler requeue count disagrees with per-worker accounting"
+        Ok(std::mem::take(cand))
+    };
+    // After a unit is delivered: its sort-phase candidates join the
+    // candidate file, and without a checkpoint its files go. With one they
+    // stay in place — an interruption must not destroy the state a resume
+    // needs, and `finish`/the recovery scan reclaim them.
+    let mut after = |sink: &mut PartitionSink<'_>, i: usize, cand: Option<Vec<IdPair>>| {
+        if let (Some(w), Some(cand)) = (candidates.as_mut().filter(|_| sink.is_live()), cand) {
+            for pair in cand {
+                if let Err(e) = w.try_push(&pair) {
+                    sink.fail(JoinError::new("dedup", e));
+                    break;
+                }
+            }
+        }
+        if !checkpointing {
+            for f in [files_r.get(i), files_s.get(i)].into_iter().flatten() {
+                disk.delete(*f);
+            }
+        }
+    };
+    let workers = if p == 1 || threads <= 1 {
+        // Inline, for threads = 1 and for the single-partition plan at any
+        // thread count (its one pair is the whole input, already in
+        // memory): an unchecked run's pairs reach `out` while their
+        // partition is still joining, so the first result never waits for
+        // a whole partition.
+        let mut w = new_worker();
+        for i in 0..p {
+            let cand = sink.run_inline(
+                &plan,
+                &mut w,
+                i,
+                || base,
+                |w, cx| body(w, cx, i as usize, None),
+                out,
             );
+            after(&mut sink, i as usize, cand);
         }
-        if ctl.observed() {
-            ctl.event(
-                "pool-drained",
-                elapsed_now(),
-                &[
-                    ("tasks_claimed", pool.tasks_claimed),
-                    ("requeues", pool.requeues),
-                    ("threads", threads as u64),
-                ],
-            );
-        }
-        sink.check()?;
+        vec![w]
+    } else {
+        // Pooled: each worker reads its next pair while joining the current
+        // one — the double-buffering the multi-channel clock credits as
+        // hidden I/O. Only a pair the join phase would load whole is worth
+        // prefetching; empty and over-budget pairs reach `join_pair`
+        // untouched (`try_len` is free and not fault-injected, so its
+        // re-check drifts nothing).
+        let load = |_: &mut Worker, fork: &SimDisk, i: usize| {
+            let (fr, fs) = (files_r[i], files_s[i]);
+            let (br, bs) = (fork.try_len(fr).ok()?, fork.try_len(fs).ok()?);
+            if br == 0 || bs == 0 || (br + bs) as usize > cfg.mem_bytes {
+                return None;
+            }
+            Some(match try_read_all::<Kpe>(fork, fr, cfg.io_buffer_pages) {
+                Ok(rv) => match try_read_all::<Kpe>(fork, fs, cfg.io_buffer_pages) {
+                    Ok(sv) => Preloaded::Loaded(rv, sv),
+                    Err(err) => Preloaded::Failed {
+                        err,
+                        failed_r: false,
+                    },
+                },
+                Err(err) => Preloaded::Failed {
+                    err,
+                    failed_r: true,
+                },
+            })
+        };
+        let units: Vec<Unit> = (0..p).map(|i| (i, None)).collect();
+        let pool = Pool {
+            threads,
+            max_requeues: cfg.max_partition_requeues,
+        };
+        let (workers, requeued) = sink.run_pooled(
+            &plan, pool, &units, base, new_worker, load, body, after, out,
+        );
+        stats.requeued_partitions = requeued as u32;
+        workers.into_iter().map(|(w, _cpu)| w).collect()
+    };
+    for w in workers {
+        let mut partial = w.stats;
+        partial.join_counters.merge(&w.internal.counters());
+        stats.merge(&partial);
     }
+    sink.check()?;
 
     let cpu_pre = stats.cost[Phase::Partition].cpu
         + stats.cost[Phase::Repartition].cpu

@@ -6,9 +6,9 @@ use std::time::Instant;
 use geom::{reference_point, Kpe, RecordId};
 use sfc::{Cell, Curve, MAX_LEVEL};
 use storage::{
-    try_external_sort_by, ClockPos, DiskModel, FileId, Finished, IoError, IoStats, JoinError,
-    PartitionSink, Phase, PhaseCost, RecordReader, RecordWriter, RunControl, RunCost, RunPhase,
-    SimDisk,
+    try_external_sort_by, Accounting, ClockPos, DiskModel, FileId, FirstRule, IoError, IoStats,
+    JoinError, PartitionSink, Phase, PhaseCost, Pool, RecordReader, RecordWriter,
+    RunControl, RunCost, RunPhase, SimDisk, Unit, UnitCx, UnitPlan, UnitWorker,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -386,15 +386,49 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// One join-phase worker's state: the coordinator's own on the inline scan,
+/// one per pool worker on the parallel one.
 struct JoinCtx<'a> {
     cfg: &'a S3jConfig,
     internal: Box<dyn InternalJoin + Send>,
     candidates: u64,
     results: u64,
     duplicates: u64,
+    /// Rect buffers the parallel scan recycles across tasks: internal joins
+    /// reorder rects in place, so each task needs private copies, but
+    /// per-task Vec allocations would serialise the pool on the allocator
+    /// lock.
+    scratch: (Vec<Kpe>, Vec<Kpe>),
 }
 
-impl JoinCtx<'_> {
+impl UnitWorker for JoinCtx<'_> {
+    type Snapshot = (u64, u64, u64);
+
+    fn counts(&self) -> (u64, u64, u64) {
+        (self.candidates, self.results, self.duplicates)
+    }
+
+    fn snapshot(&self) -> (u64, u64, u64) {
+        self.counts()
+    }
+
+    fn rollback(&mut self, (c, r, d): (u64, u64, u64)) {
+        (self.candidates, self.results, self.duplicates) = (c, r, d);
+    }
+}
+
+impl<'a> JoinCtx<'a> {
+    fn new(cfg: &'a S3jConfig) -> Self {
+        JoinCtx {
+            cfg,
+            internal: cfg.internal.create(),
+            candidates: 0,
+            results: 0,
+            duplicates: 0,
+            scratch: (Vec::new(), Vec::new()),
+        }
+    }
+
     /// Joins a pair of partitions where `deeper` is the one with the finer
     /// (or equal) cell. With replication, the modified RPM (§4.3) reports a
     /// pair only if its reference point lies in the deeper partition's cell.
@@ -777,73 +811,138 @@ pub fn try_s3j_join(
     ctl.span("sort", sim_at(&io1, build_cpu), sim_at(&disk.stats(), cpu_base));
 
     // --- Phase 3: synchronized scan ------------------------------------------
-    // On-CPU compute clock (wall fallback): keeps the sequential and
-    // parallel join-phase measurements on the same basis, so speedup ratios
-    // are meaningful even on an oversubscribed host.
+    // On-CPU compute clock (wall fallback): keeps the inline and pooled
+    // join-phase measurements on the same basis, so speedup ratios are
+    // meaningful even on an oversubscribed host.
     let t2 = parallel::WorkClock::start();
     let io2 = disk.stats();
     let ckpt2 = sink.io_checkpoint;
     let threads = parallel::resolve_threads(cfg.threads);
     // Simulated time so far — what the deadline is charged against at every
-    // discovered partition (S³J scan workers do no I/O, so the
-    // coordinator's meter is the whole story).
-    let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + t2.seconds());
+    // discovered partition (S³J scan workers do no I/O, so nothing is ever
+    // pending on their meters and the coordinator's is the whole story).
+    let clock = |pending: &IoStats| {
+        disk.io_seconds_with(pending) + model.scaled_cpu(cpu_base + t2.seconds())
+    };
+    let elapsed_now = || clock(&IoStats::default());
+    // First-result probe on the sequential scan's meter: discovery I/O
+    // through the emitting partition plus every earlier commit (and its
+    // own, when checkpointed), with the scan base plus the emitting unit's
+    // own CPU — the same at every thread count. Run-relative
+    // (`delta(&io0)`) so a reused disk's earlier charges never leak in.
+    let plan = UnitPlan {
+        phase: "scan",
+        clock: &clock,
+        charge_inline: false,
+        unit_io: false,
+        first: FirstRule::Cumulative,
+        accounting: Accounting::Classified,
+    };
     if matches!(cfg.scan, ScanMode::HeapMerge) && threads > 1 {
-        // Join CPU is assembled inside: the coordinator's discovery scan
-        // plus the max-over-workers on-CPU join time — the phase cost on
-        // dedicated cores, which the pool barrier realises as wall time on
-        // an unloaded multicore host.
-        heap_scan_parallel(
-            disk,
-            cfg,
-            threads,
-            r,
-            s,
-            &sorted_r,
-            &sorted_s,
-            &mut stats,
-            ctl,
-            &mut sink,
-            &io0,
-            &elapsed_now,
-            out,
+        // Pooled scan: the discovery walk runs unchanged on the coordinator
+        // — it is the only I/O — but queues every (new partition, stack
+        // entry) pair over `Arc`-shared partitions instead of joining it.
+        // Workers join pristine clones (internal joins reorder rects in
+        // place); the driver re-assembles units in discovery order, so the
+        // stream is the inline scan's, and the modified RPM (§4.3) keeps the
+        // union of unit outputs duplicate-free however they interleave.
+        let mut tasks: Vec<(Arc<Part>, Arc<Part>)> = Vec::new();
+        // Per task: the run-relative meter right after its partition's
+        // discovery read — the inline scan's position when it would join
+        // that partition, so the first-result base of the task's pairs.
+        let mut snaps: Vec<IoStats> = Vec::new();
+        // Each discovered partition's range of the task list.
+        let mut partition_ranges: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
+        let mut visit =
+            |_: &mut PartitionSink<'_>, d: u32, part: &mut Arc<Part>, others: &mut [Arc<Part>]| {
+                let start = tasks.len();
+                let snap = disk.stats().delta(&io0);
+                for q in others.iter() {
+                    tasks.push((Arc::clone(part), Arc::clone(q)));
+                    snaps.push(snap);
+                }
+                partition_ranges.push((d, start..tasks.len()));
+            };
+        discover(
+            disk, cfg, r, s, &sorted_r, &sorted_s, &mut stats, &mut sink, &elapsed_now, &mut visit,
         );
-    } else {
-        // Sequential scans emit in discovery order against a monotone meter,
-        // so the first delivery is already the earliest; reading the live
-        // clocks at that moment matches the parallel probe exactly on the
-        // I/O axis (discovery I/O through the emitting partition, plus its
-        // commit when checkpointed). Run-relative (`delta(&io0)`) so a
-        // reused disk's earlier charges never leak into the probe.
-        let mut first: Option<ClockPos> = None;
-        let mut wrapped_out = |a: RecordId, b: RecordId| {
-            if first.is_none() {
-                first = Some((cpu_base + t2.seconds(), disk.stats().delta(&io0)));
+        let discover_secs = t2.seconds();
+        // S³J partition pairs are tiny, so a unit per pair would drown in
+        // per-unit overhead: unchecked units are contiguous chunks of the
+        // discovery-ordered task list instead, which re-assemble in
+        // discovery order. Under a checkpoint a unit is one discovered
+        // partition's range, the span a journal record covers.
+        let (units, ranges): (Vec<Unit>, Vec<std::ops::Range<usize>>) = if checkpointing {
+            partition_ranges.into_iter().map(|(d, range)| ((d, None), range)).unzip()
+        } else {
+            let chunk = tasks.len().div_ceil(threads * 16).max(1);
+            (0..tasks.len().div_ceil(chunk))
+                .map(|c| ((0, Some(c as u64)), c * chunk..tasks.len().min((c + 1) * chunk)))
+                .unzip()
+        };
+        let body = |ctx: &mut JoinCtx<'_>, cx: &mut UnitCx<'_>, u: usize, _: Option<()>| {
+            for ti in ranges[u].clone() {
+                cx.base = (cpu_base + discover_secs, snaps[ti]);
+                let (deeper, other) = &tasks[ti];
+                let mut deeper = deeper.copy_into(std::mem::take(&mut ctx.scratch.0));
+                let mut other = other.copy_into(std::mem::take(&mut ctx.scratch.1));
+                ctx.join_parts(&mut deeper, &mut other, &mut |a, b| cx.emit(a, b));
+                ctx.scratch = (deeper.rects, other.rects);
             }
-            out(a, b);
+            Ok(())
         };
-        let mut ctx = JoinCtx {
-            cfg,
-            internal: cfg.internal.create(),
-            candidates: 0,
-            results: 0,
-            duplicates: 0,
-        };
+        if sink.is_live() {
+            let pool = Pool {
+                threads,
+                max_requeues: 0,
+            };
+            let init = || JoinCtx::new(cfg);
+            let (workers, _) = sink.run_pooled(
+                &plan, pool, &units, ClockPos::default(), init, |_, _, _| (), body, |_, _, _| {}, out,
+            );
+            for (ctx, cpu) in workers {
+                let mut partial = S3jStats::partial(model);
+                (partial.candidates, partial.results, partial.duplicates) = ctx.counts();
+                partial.join_counters = ctx.internal.counters();
+                partial.cost[Phase::Join].cpu = cpu;
+                stats.merge(&partial);
+            }
+        }
+        // Discovery ran before the workers started; it adds to whichever
+        // worker was slowest.
+        stats.cost[Phase::Join].cpu += discover_secs;
+    } else {
+        let mut ctx = JoinCtx::new(cfg);
         match cfg.scan {
-            ScanMode::HeapMerge => heap_scan(
-                disk,
-                cfg,
-                r,
-                s,
-                &sorted_r,
-                &sorted_s,
-                &mut ctx,
-                &mut stats,
-                &mut sink,
-                &elapsed_now,
-                &mut wrapped_out,
-            ),
+            ScanMode::HeapMerge => {
+                // Every discovered partition is joined inline against the
+                // other relation's root path.
+                let only = "the inline scan holds the only handle";
+                let base = || (cpu_base + t2.seconds(), disk.stats().delta(&io0));
+                let mut visit = |sink: &mut PartitionSink<'_>,
+                                 d: u32,
+                                 part: &mut Arc<Part>,
+                                 others: &mut [Arc<Part>]| {
+                    let part = Arc::get_mut(part).expect(only);
+                    let body = |ctx: &mut JoinCtx<'_>, cx: &mut UnitCx<'_>| {
+                        for q in others.iter_mut() {
+                            let q = Arc::get_mut(q).expect(only);
+                            ctx.join_parts(part, q, &mut |a, b| cx.emit(a, b));
+                        }
+                        Ok(())
+                    };
+                    sink.run_inline(&plan, &mut ctx, d, base, body, out);
+                };
+                discover(
+                    disk, cfg, r, s, &sorted_r, &sorted_s, &mut stats, &mut sink, &elapsed_now,
+                    &mut visit,
+                );
+            }
             ScanMode::LevelPairs => {
+                // The ablation scan has no partition unit: it delivers
+                // straight to `out` against a monotone meter, so its first
+                // delivery is the earliest.
+                let mut first: Option<ClockPos> = None;
                 let res = pair_scan(
                     disk,
                     cfg,
@@ -855,15 +954,20 @@ pub fn try_s3j_join(
                     &mut stats,
                     ctl,
                     &elapsed_now,
-                    &mut wrapped_out,
+                    &mut |a, b| {
+                        if first.is_none() {
+                            first = Some((cpu_base + t2.seconds(), disk.stats().delta(&io0)));
+                        }
+                        out(a, b);
+                    },
                 );
                 if let Err(e) = res {
                     sink.fail(e);
                 }
+                if let Some(f) = first {
+                    sink.offer_first(f);
+                }
             }
-        }
-        if let Some(f) = first {
-            sink.offer_first(f);
         }
         stats.candidates += ctx.candidates;
         stats.results += ctx.results;
@@ -916,12 +1020,12 @@ type Visit<'v> = dyn FnMut(&mut PartitionSink<'_>, u32, &mut Arc<Part>, &mut [Ar
 /// deeper one), then pushed on its own stack.
 ///
 /// Partitions are numbered in discovery order — the journal's work unit.
-/// `visit` only sees partitions that have something to join against and
-/// that the journal has not committed: a resumed run skips those (the
-/// interrupted process emitted their pairs after the commit) while still
-/// maintaining the stacks they feed. Cancellation and the deadline are
-/// checked per discovered partition; the walk stops at the first error the
-/// sink latches.
+/// `visit` only sees partitions that have something to join against; the
+/// partition driver skips those a resumed run's journal committed (the
+/// interrupted process emitted their pairs after the commit), while the
+/// walk still maintains the stacks they feed. Cancellation and the deadline
+/// are checked per discovered partition; the walk stops at the first error
+/// the sink latches.
 #[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
 fn discover(
     disk: &SimDisk,
@@ -983,7 +1087,7 @@ fn discover(
         }
         let mut part = Arc::new(part);
         let others = &mut stacks[1 - part.rel];
-        if !others.is_empty() && !sink.is_committed(d) {
+        if !others.is_empty() {
             visit(sink, d, &mut part, others);
             if !sink.is_live() {
                 break;
@@ -995,247 +1099,6 @@ fn discover(
         d += 1;
     }
     stats.quarantined_levels += cursors.iter().filter(|c| c.quarantined).count() as u32;
-}
-
-/// Sequential synchronized scan: every discovered partition is joined inline
-/// against the other relation's root path and delivered through the sink.
-/// An unchecked run streams its pairs straight to `out`; under a checkpoint
-/// they are buffered until the partition's commit.
-#[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
-fn heap_scan(
-    disk: &SimDisk,
-    cfg: &S3jConfig,
-    r: &[Kpe],
-    s: &[Kpe],
-    sorted_r: &[Option<FileId>],
-    sorted_s: &[Option<FileId>],
-    ctx: &mut JoinCtx<'_>,
-    stats: &mut S3jStats,
-    sink: &mut PartitionSink<'_>,
-    elapsed: &dyn Fn() -> f64,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) {
-    let only = "the sequential scan holds the only handle";
-    let mut visit =
-        |sink: &mut PartitionSink<'_>, d: u32, part: &mut Arc<Part>, others: &mut [Arc<Part>]| {
-            let part = Arc::get_mut(part).expect(only);
-            let base = (ctx.candidates, ctx.results, ctx.duplicates);
-            let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
-            for q in others.iter_mut() {
-                let q = Arc::get_mut(q).expect(only);
-                if sink.is_checkpointing() {
-                    ctx.join_parts(part, q, &mut |a, b| pairs.push((a, b)));
-                } else {
-                    ctx.join_parts(part, q, out);
-                }
-            }
-            let unit = Finished {
-                partition: d,
-                chunk: None,
-                counts: (
-                    ctx.candidates - base.0,
-                    ctx.results - base.1,
-                    ctx.duplicates - base.2,
-                ),
-                io: None,
-                pairs: &pairs,
-                // `out` itself records the first delivery's position.
-                first: None,
-            };
-            sink.commit_and_emit(unit, elapsed, out);
-        };
-    discover(
-        disk, cfg, r, s, sorted_r, sorted_s, stats, sink, elapsed, &mut visit,
-    );
-}
-
-/// Parallel synchronized scan: the discovery walk runs unchanged on the
-/// coordinator — it is the only I/O — but instead of joining inline, every
-/// (new partition, stack entry) pair is queued over `Arc`-shared partitions
-/// and workers claim contiguous chunks of the queue. Workers join pristine
-/// clones (internal joins reorder rects in place) and buffer their result
-/// pairs; the pool re-assembles chunk outputs in discovery order, so the
-/// emitted stream is identical to the sequential scan, and the modified RPM
-/// (§4.3) keeps the union of task outputs duplicate-free no matter how tasks
-/// interleave.
-#[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
-fn heap_scan_parallel(
-    disk: &SimDisk,
-    cfg: &S3jConfig,
-    threads: usize,
-    r: &[Kpe],
-    s: &[Kpe],
-    sorted_r: &[Option<FileId>],
-    sorted_s: &[Option<FileId>],
-    stats: &mut S3jStats,
-    ctl: &RunControl,
-    sink: &mut PartitionSink<'_>,
-    io0: &IoStats,
-    elapsed: &dyn Fn() -> f64,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) {
-    let cpu_base = stats.cost[Phase::Partition].cpu + stats.cost[Phase::Sort].cpu;
-    // Scan-phase checkpoint I/O accumulated so far (build/sort publishes):
-    // subtracted out when reconstructing the sequential meter position of a
-    // mid-scan delivery.
-    let ckpt0 = sink.io_checkpoint;
-    let t_discover = parallel::WorkClock::start();
-    let mut tasks: Vec<(Arc<Part>, Arc<Part>)> = Vec::new();
-    // Per task: the run-relative I/O meter right after its partition's
-    // discovery read — exactly the sequential scan's meter position when it
-    // would join that partition (scan workers do no I/O). Feeds the
-    // pipelined first-result probe; kept aligned with `tasks`.
-    let mut snaps: Vec<IoStats> = Vec::new();
-    // The pair range of the task list that belongs to each discovered
-    // partition (checkpointed runs only — see `units` below).
-    let mut partition_ranges: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
-    let mut visit =
-        |_: &mut PartitionSink<'_>, d: u32, part: &mut Arc<Part>, others: &mut [Arc<Part>]| {
-            let start = tasks.len();
-            let snap = disk.stats().delta(io0);
-            for q in others.iter() {
-                tasks.push((Arc::clone(part), Arc::clone(q)));
-                snaps.push(snap);
-            }
-            partition_ranges.push((d, start..tasks.len()));
-        };
-    discover(
-        disk, cfg, r, s, sorted_r, sorted_s, stats, sink, elapsed, &mut visit,
-    );
-    if !sink.is_live() {
-        return;
-    }
-    let discover_secs = t_discover.seconds();
-
-    // S³J partition pairs are tiny (often a handful of rects), so a task
-    // per pair would drown in per-task overhead. Workers instead claim
-    // contiguous *chunks* of the discovery-ordered pair list; chunk outputs
-    // re-assemble in chunk order, which is discovery order. Under a
-    // checkpoint the unit is one discovered partition's pair range instead
-    // — the span a journal record covers — so commits align with units.
-    let checkpointing = sink.is_checkpointing();
-    let units: Vec<(u32, std::ops::Range<usize>)> = if checkpointing {
-        partition_ranges
-    } else {
-        let chunk = tasks.len().div_ceil(threads * 16).max(1);
-        (0..tasks.len().div_ceil(chunk))
-            .map(|c| (0, c * chunk..tasks.len().min((c + 1) * chunk)))
-            .collect()
-    };
-    let model = stats.cost.model;
-    let units_ref = &units;
-    let snaps_ref = &snaps;
-    let cancel = sink.pool_cancel();
-    let workers = parallel::run_ordered_with(
-        threads,
-        units.len(),
-        Some(&cancel),
-        |_w| {
-            (
-                JoinCtx {
-                    cfg,
-                    internal: cfg.internal.create(),
-                    candidates: 0,
-                    results: 0,
-                    duplicates: 0,
-                },
-                0f64,
-                parallel::WorkClock::start(),
-                // Scratch rect buffers, reused across tasks: internal joins
-                // reorder rects in place, so each task needs private copies,
-                // but per-task Vec allocations would serialise the pool on
-                // the allocator lock.
-                (Vec::new(), Vec::new()),
-            )
-        },
-        |(ctx, cpu, work_clock, scratch), u| {
-            let c0 = work_clock.seconds();
-            let base = (ctx.candidates, ctx.results, ctx.duplicates);
-            let mut pairs = Vec::new();
-            // (global task index, own on-CPU seconds) at this unit's first
-            // produced pair — the unit's contribution to the pipelined
-            // first-result probe.
-            let mut first: Option<(usize, f64)> = None;
-            let range = units_ref[u].1.clone();
-            for (i, (deeper, other)) in tasks[range.clone()].iter().enumerate() {
-                let mut deeper = deeper.copy_into(std::mem::take(&mut scratch.0));
-                let mut other = other.copy_into(std::mem::take(&mut scratch.1));
-                ctx.join_parts(&mut deeper, &mut other, &mut |a, b| {
-                    if first.is_none() {
-                        first = Some((range.start + i, work_clock.seconds() - c0));
-                    }
-                    pairs.push((a, b));
-                });
-                scratch.0 = deeper.rects;
-                scratch.1 = other.rects;
-            }
-            *cpu += work_clock.seconds() - c0;
-            let deltas = (
-                ctx.candidates - base.0,
-                ctx.results - base.1,
-                ctx.duplicates - base.2,
-            );
-            (pairs, deltas, first)
-        },
-        |u, (pairs, deltas, first)| {
-            // Deadline at unit granularity on the coordinator (workers do
-            // no I/O, so `elapsed` sees the whole simulated-time story).
-            sink.charge("scan", elapsed());
-            // The sequential meter position of this unit's first pair:
-            // discovery I/O through its partition plus the scan commits of
-            // earlier units (the sink adds the unit's own commit).
-            let prior_commits = sink.io_checkpoint.delta(&ckpt0);
-            let first = first.map(|(ti, fc): (usize, f64)| {
-                (
-                    cpu_base + discover_secs + fc,
-                    snaps_ref[ti].plus(&prior_commits),
-                )
-            });
-            let unit = Finished {
-                partition: units_ref[u].0,
-                chunk: (!checkpointing).then_some(u as u64),
-                counts: deltas,
-                io: None,
-                pairs: &pairs,
-                first,
-            };
-            sink.commit_and_emit(unit, elapsed, out);
-        },
-    );
-    for (ctx, cpu, _clock, _scratch) in workers {
-        // Per-worker duplicate accounting: every candidate was either
-        // reported or suppressed by the modified reference-point test
-        // (duplicates are 0 in the unreplicated original), regardless of
-        // how chunks were interleaved across workers.
-        debug_assert_eq!(
-            ctx.candidates,
-            ctx.results + ctx.duplicates,
-            "per-worker S3J accounting broken"
-        );
-        let mut partial = S3jStats::partial(model);
-        partial.candidates = ctx.candidates;
-        partial.results = ctx.results;
-        partial.duplicates = ctx.duplicates;
-        partial.join_counters = ctx.internal.counters();
-        partial.cost[Phase::Join].cpu = cpu;
-        stats.merge(&partial);
-    }
-    // Coordinator discovery (the phase's only non-checkpoint I/O and heap
-    // work) happens before the workers start; it adds to whichever worker
-    // was slowest. Without a checkpoint nothing below discovery can fail:
-    // the worker tasks are pure CPU over in-memory partitions.
-    stats.cost[Phase::Join].cpu += discover_secs;
-    if ctl.observed() {
-        ctl.event(
-            "pool-drained",
-            elapsed(),
-            &[
-                ("units", units.len() as u64),
-                ("tasks", tasks.len() as u64),
-                ("threads", threads as u64),
-            ],
-        );
-    }
 }
 
 /// Ablation baseline for §4.4.3: a separate merge scan per pair of level

@@ -7,12 +7,13 @@
 //! ```
 //!
 //! K client threads replay a seed-derived request mix — random dataset
-//! pairs, algorithms and memory sizes, cache reuse, seeded fault injection
-//! (half of the fault legs escalated to *persistent* media damage, which the
-//! quarantine-recompute paths must absorb bit-identically), tiny deadlines,
-//! mid-stream disconnects, one injected crash point and one worker panic —
-//! against a deliberately small memory budget so admission queueing and
-//! overload shedding both fire. A cache-rot chaos leg then corrupts every
+//! pairs, algorithms, memory sizes and worker threads (1 or 3, so both the
+//! inline and the pooled partition driver serve), cache reuse, seeded fault
+//! injection (half of the fault legs escalated to *persistent* media damage,
+//! which the quarantine-recompute paths must absorb bit-identically), tiny
+//! deadlines, mid-stream disconnects, one injected crash point and one
+//! worker panic — against a deliberately small memory budget so admission
+//! queueing and overload shedding both fire. A cache-rot chaos leg then corrupts every
 //! cached partition snapshot in place and replays a reuse join: the
 //! integrity gate must evict and re-warm, never resume from rotten state.
 //! Afterwards the driver asserts:
@@ -235,9 +236,12 @@ fn main() -> ExitCode {
                 // response proves the quarantine-recompute paths delivered
                 // the exact clean result through the service.
                 let persistent = faults && rng.gen_bool(0.5);
+                // Results are thread-invariant, so every leg above runs on
+                // the inline partition driver or on the pool alike.
+                let threads = if rng.gen_bool(0.5) { 3 } else { 1 };
 
                 let mut line = format!(
-                    "{{\"cmd\":\"join\",\"left\":\"{}\",\"right\":\"{}\",\"algo\":\"{}\",\"mem_mb\":{}",
+                    "{{\"cmd\":\"join\",\"left\":\"{}\",\"right\":\"{}\",\"algo\":\"{}\",\"mem_mb\":{},\"threads\":{threads}",
                     DATASETS[l].0, DATASETS[r].0, ALGOS[a], MEM_MB[m]
                 );
                 if crash {

@@ -27,9 +27,9 @@ use spatialjoin::{Algorithm, CrashPoint, DiskModel, InternalAlgo};
 
 use crate::json::{escape, Json};
 
-/// Algorithms the service accepts (`exec`-streamable joins; the sweep-line
-/// baselines have no partition phase and no cancel support, so they stay
-/// CLI-only).
+/// Algorithms the service accepts (the partition-based joins, which stream
+/// and poll cancellation; the sweep-line baselines have no partition phase
+/// and no cancel support, so they stay CLI-only).
 pub const ALGOS: [&str; 6] = [
     "pbsm",
     "pbsm-trie",

@@ -12,12 +12,12 @@
 //! only the memory budget and the partition-file cache are truly shared.
 //!
 //! Fault isolation: each request runs on its own worker thread behind
-//! `catch_unwind` (directly here for the durable/fault/reuse paths, inside
-//! [`exec::SpatialJoinOp`] for plain streaming). A panicking or crashing
-//! request delivers one typed terminal line to its own client, its memory
-//! lease is released by `Drop`, and co-tenant joins never observe it. A
-//! client that disconnects mid-stream trips the join's [`CancelToken`]; the
-//! worker stops at the next partition boundary and the lease is released.
+//! `catch_unwind`, streaming its pairs back over a bounded channel. A
+//! panicking or crashing request delivers one typed terminal line to its own
+//! client, its memory lease is released by `Drop`, and co-tenant joins never
+//! observe it. A client that disconnects mid-stream trips the join's
+//! [`CancelToken`]; the worker stops at the next partition boundary and the
+//! lease is released.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -28,7 +28,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use exec::{JoinOpError, KpeScan, Operator, SpatialJoinOp};
 use spatialjoin::{
     Algorithm, CancelToken, CrashPoint, DiskModel, FaultPlan, IoError, IoErrorKind, JoinError,
     JoinErrorKind, JoinStats, Kpe, RecordId, RetryPolicy, SimDisk, SpatialJoin,
@@ -267,7 +266,9 @@ enum Line {
     Text(String),
     /// Longer than [`MAX_LINE`]; the rest of it was read and discarded.
     TooLong,
-    /// End of stream, a read error or a line that is not UTF-8.
+    /// Not UTF-8, so not JSON either.
+    Binary,
+    /// End of stream or a read error.
     Closed,
 }
 
@@ -306,7 +307,7 @@ fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Line {
     }
     match std::str::from_utf8(buf) {
         Ok(text) => Line::Text(text.to_owned()),
-        Err(_) => Line::Closed,
+        Err(_) => Line::Binary,
     }
 }
 
@@ -318,16 +319,20 @@ fn session(inner: Arc<Inner>, stream: TcpStream, id: u64) {
     let mut reader = BufReader::new(read_half);
     let mut buf = Vec::new();
     loop {
-        let line = match read_line(&mut reader, &mut buf) {
-            Line::Text(line) => line,
-            Line::TooLong => {
-                let msg = format!("request line longer than {MAX_LINE} bytes");
+        let text = match read_line(&mut reader, &mut buf) {
+            Line::Text(line) => Ok(line),
+            Line::TooLong => Err(format!("request line longer than {MAX_LINE} bytes")),
+            Line::Binary => Err("request line is not UTF-8".to_owned()),
+            Line::Closed => break,
+        };
+        let line = match text {
+            Ok(line) => line,
+            Err(msg) => {
                 if !send(&mut out, &proto::error_line("bad_request", &msg, &[])) {
                     break;
                 }
                 continue;
             }
-            Line::Closed => break,
         };
         let line = line.trim();
         if line.is_empty() {
@@ -539,20 +544,7 @@ fn handle_join(inner: &Arc<Inner>, out: &mut TcpStream, parsed: &Json, sid: u64)
         "session {sid}: join {}x{} algo={} mem={}B reuse={} crash={:?}",
         jr.left, jr.right, jr.algo, jr.mem_bytes, jr.reuse, jr.crash
     ));
-    // The exec operator path covers plain streaming; anything touching
-    // durable runs, fault injection or the test hooks goes through a
-    // dedicated worker so its panics and its lease are contained here.
-    let special = jr.reuse
-        || jr.faults.is_some()
-        || jr.crash.is_some()
-        || jr.panic_after.is_some()
-        || jr.hold_ms.is_some();
-    let outcome = if special {
-        run_special(inner, out, &jr, &left, &right)
-    } else {
-        run_streaming(inner, out, &jr, &left, &right)
-    };
-    match outcome {
+    match run_join(inner, out, &jr, &left, &right) {
         Outcome::Ok => {
             inner.joins_ok.fetch_add(1, Ordering::Relaxed);
             true
@@ -677,118 +669,7 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// Plain streaming join through [`exec::SpatialJoinOp`]: the operator
-/// leases from the arbiter before spawning its worker, pipelines first
-/// results, and contains worker panics.
-fn run_streaming(
-    inner: &Arc<Inner>,
-    out: &mut TcpStream,
-    jr: &JoinRequest,
-    left: &Arc<Vec<Kpe>>,
-    right: &Arc<Vec<Kpe>>,
-) -> Outcome {
-    // A planner-selected choice carries knobs (tile count, buffer split)
-    // the algorithm name alone cannot; materialise it directly. The session
-    // plans streaming joins in `PlanSpace::Streamable`, so a choice always
-    // maps onto PBSM or S³J.
-    let algo = match &jr.chosen_choice {
-        Some(choice) => Algorithm::from_choice(choice).with_threads(jr.threads),
-        None => match proto::algorithm(&jr.algo, jr.mem_bytes, jr.threads) {
-            Ok(a) => a,
-            Err(e) => {
-                let _ = send(out, &proto::error_line("bad_request", &e, &[]));
-                return Outcome::Failed;
-            }
-        },
-    };
-    let exec_algo = match algo {
-        Algorithm::Pbsm(cfg) => exec::JoinAlgorithm::Pbsm(cfg),
-        Algorithm::S3j(cfg) => exec::JoinAlgorithm::S3j(cfg),
-        _ => {
-            let _ = send(
-                out,
-                &proto::error_line("unsupported", "algorithm cannot stream", &[]),
-            );
-            return Outcome::Failed;
-        }
-    };
-    let model = DiskModel {
-        channels: jr.channels,
-        ..DiskModel::default()
-    };
-    let token = CancelToken::new();
-    let mut op = SpatialJoinOp::new(
-        KpeScan::new(left.as_ref().clone()),
-        KpeScan::new(right.as_ref().clone()),
-        exec_algo,
-        SimDisk::new(model),
-    )
-    .with_admission(inner.arbiter.clone())
-    .with_cancel(token.clone())
-    .with_pipeline_depth(inner.cfg.batch.max(64));
-    if let Some(d) = jr.deadline {
-        op = op.with_deadline(d);
-    }
-    op.open();
-
-    let mut emitter = Emitter::new(out, inner.cfg.batch, jr.limit);
-    let mut error: Option<JoinOpError> = None;
-    while let Some(item) = op.next() {
-        match item {
-            Ok((a, b)) => {
-                if !emitter.pair(a.0, b.0) {
-                    // Client went away: close() trips the token, drops the
-                    // channel and joins the worker; the lease drops with it.
-                    op.close();
-                    return Outcome::Disconnected;
-                }
-            }
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    op.close();
-    match error {
-        Some(e) => {
-            // Pairs already streamed before the error stay observable —
-            // same contract as an interrupted durable run.
-            let _ = emitter.flush();
-            let (line, outcome) = op_error_response(&e);
-            if send(out, &line) {
-                outcome
-            } else {
-                Outcome::Disconnected
-            }
-        }
-        None => {
-            if !emitter.flush() {
-                return Outcome::Disconnected;
-            }
-            let Some(stats) = op.stats().map(op_stats_to_join) else {
-                let _ = emitter
-                    .send_line(&proto::error_line("io", "join finished without statistics", &[]));
-                return Outcome::Failed;
-            };
-            let line = done_line(&stats, jr, false, emitter.sent);
-            if emitter.send_line(&line) {
-                Outcome::Ok
-            } else {
-                Outcome::Disconnected
-            }
-        }
-    }
-}
-
-fn op_stats_to_join(stats: exec::OpStats) -> JoinStats {
-    match stats {
-        exec::OpStats::Pbsm(s) => JoinStats::Pbsm(s),
-        exec::OpStats::S3j(s) => JoinStats::S3j(s),
-    }
-}
-
-/// Worker → session messages on the special (durable/fault/hook) path.
+/// Worker → session messages of a join.
 enum Msg {
     Pair(u64, u64),
     Done(Box<JoinStats>, bool),
@@ -796,10 +677,11 @@ enum Msg {
     Panicked(String),
 }
 
-/// Durable, fault-injected, cached and test-hook joins: the session thread
-/// leases explicitly, then confines the join to a worker whose panics are
-/// caught and whose lease is released by `Drop` on every exit path.
-fn run_special(
+/// Runs one join: the session thread leases its memory from the arbiter,
+/// then confines the join to a worker whose panics are caught and whose
+/// lease is released by `Drop` on every exit path. Pairs stream back over a
+/// bounded channel; a client that disconnects trips the join's token.
+fn run_join(
     inner: &Arc<Inner>,
     out: &mut TcpStream,
     jr: &JoinRequest,
@@ -835,7 +717,7 @@ fn run_special(
             }
             let tx = tx_final.clone();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_special_join(&inner, &jr, &left, &right, model, &token, &tx)
+                execute(&inner, &jr, &left, &right, model, &token, &tx)
             }));
             let terminal = match result {
                 Ok(Ok((stats, cache_hit))) => Msg::Done(Box::new(stats), cache_hit),
@@ -912,7 +794,9 @@ fn run_special(
     }
 }
 
-fn run_special_join(
+/// The join itself, on the worker: durable with a crash point armed, served
+/// from the partition cache, fault-injected, or plain.
+fn execute(
     inner: &Inner,
     jr: &JoinRequest,
     left: &[Kpe],
@@ -1042,17 +926,6 @@ fn admission_response(e: &AdmissionError) -> (String, Outcome) {
         ),
         AdmissionError::Cancelled => (
             proto::error_line("cancelled", &e.to_string(), &[]),
-            Outcome::Failed,
-        ),
-    }
-}
-
-fn op_error_response(e: &JoinOpError) -> (String, Outcome) {
-    match e {
-        JoinOpError::Admission(a) => admission_response(a),
-        JoinOpError::Join(j) => join_error_response(j),
-        JoinOpError::WorkerPanicked(msg) => (
-            proto::error_line("panicked", &format!("worker panicked: {msg}"), &[]),
             Outcome::Failed,
         ),
     }

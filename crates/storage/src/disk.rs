@@ -1023,9 +1023,6 @@ impl SimDisk {
         }
     }
 
-    /// Simulated disk seconds for counters accumulated so far. With a
-    /// degraded channel the slow channel's units are stretched by its
-    /// factor — this is the clock deadline charging reads, so a degraded
     /// A run's channel decomposition: the shared lane's and every data
     /// channel's counters accumulated since the [`channel_stats`]
     /// snapshot `since` (the disk may carry charges from earlier runs;
@@ -1043,17 +1040,27 @@ impl SimDisk {
         (shared, channels)
     }
 
+    /// Simulated disk seconds for counters accumulated so far. With a
+    /// degraded channel the slow channel's units are stretched by its
+    /// factor — this is the clock deadline charging reads, so a degraded
     /// channel genuinely eats into a run's deadline budget.
     pub fn io_seconds(&self) -> f64 {
+        self.io_seconds_with(&IoStats::default())
+    }
+
+    /// [`io_seconds`](Self::io_seconds) plus `pending` I/O metered
+    /// elsewhere: a worker's forked meter that has not folded back yet.
+    /// Its channel is unknown, so it is charged undegraded.
+    pub fn io_seconds_with(&self, pending: &IoStats) -> f64 {
         if self.model.degraded_channel.is_none() {
-            return self.model.seconds(&self.stats());
+            return self.model.seconds(&self.stats().plus(pending));
         }
         let buckets = self.channel_stats();
         let mut units = self.model.units(&buckets[0]);
         for (i, b) in buckets[1..].iter().enumerate() {
             units += self.model.units(b) * self.model.channel_factor(i);
         }
-        units * self.model.transfer_secs_per_page
+        (units + self.model.units(pending)) * self.model.transfer_secs_per_page
     }
 }
 

@@ -54,17 +54,17 @@ mod manifest;
 pub mod metrics;
 mod pool;
 mod record;
-mod sort;
 mod retry;
 mod sink;
+mod sort;
 
 pub use arbiter::{AdmissionError, ArbiterSnapshot, MemoryArbiter, MemoryLease};
 pub use cost::{ClockPos, Phase, PhaseCost, RunCost};
 pub use disk::{DiskModel, FileId, IoStats, SimDisk};
 // Re-exported so downstream crates can build a `RunControl` without a direct
 // `parallel` dependency.
-pub use parallel::{CancelCause, CancelToken};
 pub use fault::{CrashPoint, FaultPlan, IoError, IoErrorKind, IoOp, JoinError, JoinErrorKind};
+pub use file::{FileReader, FileWriter};
 pub use manifest::{
     recover, JournalEntry, Manifest, Recovered, RunCheckpoint, RunControl, RunPhase,
 };
@@ -72,9 +72,11 @@ pub use metrics::{
     MetricsReport, PhaseMetric, ReconcileError, Recorder, RunCounters, TraceEvent, TraceSpan,
     METRICS_SCHEMA_VERSION,
 };
-pub use file::{FileReader, FileWriter};
+pub use parallel::{CancelCause, CancelToken};
 pub use pool::BufferPool;
 pub use record::{try_read_all, try_write_all, FixedRecord, IdPair, RecordReader, RecordWriter};
 pub use retry::RetryPolicy;
-pub use sink::{Finished, PartitionSink};
+pub use sink::{
+    Accounting, FirstRule, PartitionSink, Pool, Unit, UnitCx, UnitPlan, UnitWorker,
+};
 pub use sort::{try_external_sort, try_external_sort_by, try_external_sort_slice, SortStats};

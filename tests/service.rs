@@ -7,8 +7,12 @@
 //! arbiter grants all-or-nothing, so co-tenancy shares the budget but never
 //! the configuration.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
+use rand::prelude::*;
 
 use sjoind::{Client, Json, JoinResponse, Server, ServerConfig, ServerHandle};
 use spatialjoin::{Algorithm, Kpe, SpatialJoin};
@@ -474,8 +478,201 @@ fn protocol_rejects_garbage_without_dying() {
         c.request("{\"cmd\":\"ping\"}").expect("ping").get("ok").and_then(Json::as_str),
         Some("pong")
     );
+    // Inputs the protocol fuzz below found: each must get one typed answer
+    // and leave the session serving.
+    let mut raw = RawSession::connect(addr);
+    for bad in [
+        // A flipped byte that is not UTF-8 used to close the session
+        // without an answer.
+        &b"{\"cmd\":\"pi\xC3ng\"}"[..],
+        &b"{\"cmd\":\"join\",\"left\":\"\xFF\"}"[..],
+    ] {
+        assert_eq!(raw.answer(bad).as_deref(), Ok("bad_request"));
+    }
     handle.request_drain();
     handle.join();
+}
+
+/// A client on a raw socket, so a test can send arbitrary bytes and notice
+/// a missing answer instead of blocking on it.
+struct RawSession {
+    out: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl RawSession {
+    fn connect(addr: SocketAddr) -> RawSession {
+        let out = TcpStream::connect(addr).expect("connect");
+        out.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let reader = BufReader::new(out.try_clone().expect("clone socket"));
+        RawSession { out, reader }
+    }
+
+    fn recv(&mut self) -> Result<Json, String> {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(0) => Err("session closed".into()),
+            Ok(_) => Json::parse(line.trim()).map_err(|e| format!("untyped answer {line:?}: {e}")),
+            Err(e) => Err(format!("no answer: {e}")),
+        }
+    }
+
+    /// Sends `line` then a `ping`. The line must get exactly one typed
+    /// answer — an `ok`, or an `error` with a `kind` — and the ping must
+    /// still be answered after it. Returns the error kind, or `"ok"`.
+    fn answer(&mut self, line: &[u8]) -> Result<String, String> {
+        let mut msg = line.to_vec();
+        msg.extend_from_slice(b"\n{\"cmd\":\"ping\"}\n");
+        self.out.write_all(&msg).map_err(|e| format!("send: {e}"))?;
+        let first = self.recv()?;
+        let kind = match (first.get("ok"), first.get("error")) {
+            (Some(_), None) => "ok".to_owned(),
+            (None, Some(err)) => err
+                .get("kind")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("error without a kind: {first}"))?
+                .to_owned(),
+            _ => return Err(format!("untyped answer {first}")),
+        };
+        let pong = self.recv()?;
+        if pong.get("ok").and_then(Json::as_str) != Some("pong") {
+            return Err(format!("a second answer {pong} instead of the ping's"));
+        }
+        Ok(kind)
+    }
+}
+
+/// Request lines from a small grammar of the real verbs and fields. Joins
+/// name datasets the fuzz never registers, so every line has a one-line
+/// answer; `shutdown` is left out because it ends the session by design.
+fn grammar_line(rng: &mut StdRng) -> String {
+    let pick = |rng: &mut StdRng, xs: &[&str]| xs[rng.gen_range(0..xs.len())].to_owned();
+    let num = |rng: &mut StdRng| pick(rng, &["0", "1", "0.5", "0.01", "7", "-1", "1e-9", "3.5e2"]);
+    let mut fields = Vec::new();
+    let verb = pick(rng, &["ping", "list", "metrics", "register", "join", "frobnicate"]);
+    fields.push(format!("\"cmd\":\"{verb}\""));
+    let keys: &[&str] = match verb.as_str() {
+        "register" => &["name", "source", "scale", "seed"],
+        "join" => &[
+            "left", "right", "algo", "mem_mb", "threads", "channels", "deadline", "limit", "reuse",
+            "plan", "metrics", "faults", "crash", "hold_ms",
+        ],
+        _ => &["name", "limit"],
+    };
+    for key in keys {
+        if !rng.gen_bool(0.6) {
+            continue;
+        }
+        let value = match *key {
+            "name" => format!("\"{}\"", pick(rng, &["fz", "", "a b"])),
+            "source" => format!("\"{}\"", pick(rng, &["uniform", "clustered", "mars"])),
+            "left" | "right" => format!("\"{}\"", pick(rng, &["fz1", "fz2", ""])),
+            "algo" => format!("\"{}\"", pick(rng, &["pbsm", "s3j", "twolayer", "sssj"])),
+            "plan" => format!("\"{}\"", pick(rng, &["auto", "explain", "no"])),
+            "crash" => format!("\"{}\"", pick(rng, &["after-commit:1", "mid-partition:0", "x"])),
+            "reuse" | "metrics" => pick(rng, &["true", "false", "null"]),
+            // Register scales stay small so a line that does register a
+            // dataset costs milliseconds.
+            "scale" => pick(rng, &["0.001", "0", "-2", "5", "\"0.01\""]),
+            _ => num(rng),
+        };
+        fields.push(format!("\"{key}\":{value}"));
+    }
+    fields.shuffle(rng);
+    // Keep `cmd` first most of the time, as clients send it.
+    if let Some(i) = fields.iter().position(|f| f.starts_with("\"cmd\"")) {
+        if rng.gen_bool(0.8) {
+            fields.swap(0, i);
+        }
+    }
+    format!("{{{}}}", fields.join(","))
+}
+
+/// One random mutation: flip a byte, truncate, nest, or swap a number for
+/// another type. Never introduces a newline (that would be two requests).
+fn mutate(rng: &mut StdRng, line: &mut Vec<u8>) {
+    match rng.gen_range(0..4) {
+        0 if !line.is_empty() => {
+            let i = rng.gen_range(0..line.len());
+            line[i] = match rng.gen_range(0..3) {
+                0 => rng.gen_range(0x20..0x7F),
+                1 => rng.gen_range(0x80..=0xFF),
+                _ => *b"{}[]\":,\\0-e".choose(rng).expect("non-empty"),
+            };
+        }
+        1 if !line.is_empty() => line.truncate(rng.gen_range(0..line.len())),
+        2 => {
+            let depth = rng.gen_range(1..80);
+            let (open, close) = if rng.gen_bool(0.5) {
+                ("[", "]")
+            } else {
+                ("{\"k\":", "}")
+            };
+            let mut nested = open.repeat(depth).into_bytes();
+            nested.append(line);
+            nested.extend(close.repeat(depth).bytes());
+            *line = nested;
+        }
+        _ => {
+            let text = String::from_utf8_lossy(line).into_owned();
+            let digits: Vec<usize> = text
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_digit())
+                .map(|(i, _)| i)
+                .collect();
+            if let Some(&i) = digits.choose(rng) {
+                let end = text[i..]
+                    .find(|c: char| !(c.is_ascii_digit() || ".eE+-".contains(c)))
+                    .map_or(text.len(), |n| i + n);
+                let swapped = *[
+                    "\"12\"",
+                    "null",
+                    "true",
+                    "[]",
+                    "{}",
+                    "1e999",
+                    "-0",
+                    "18446744073709551616",
+                    "0.0000001",
+                ]
+                .choose(rng)
+                .expect("non-empty");
+                *line = format!("{}{swapped}{}", &text[..i], &text[end..]).into_bytes();
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Seeded grammar-and-mutation fuzz of the request protocol: every line
+    /// gets exactly one typed answer and the session keeps serving.
+    #[test]
+    fn protocol_fuzz_every_line_gets_one_typed_answer(seed in any::<u64>()) {
+        let handle = start(ServerConfig::default());
+        let mut session = RawSession::connect(handle.addr());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..40 {
+            let mut line = grammar_line(&mut rng).into_bytes();
+            for _ in 0..rng.gen_range(0..4) {
+                mutate(&mut rng, &mut line);
+            }
+            // A blank line is skipped by the protocol, not answered.
+            if line.iter().all(u8::is_ascii_whitespace) {
+                continue;
+            }
+            let answer = session.answer(&line);
+            prop_assert!(
+                answer.is_ok(),
+                "{answer:?} for {:?}",
+                String::from_utf8_lossy(&line)
+            );
+        }
+        handle.request_drain();
+        handle.join();
+    }
 }
 
 /// Open file descriptors of this process.
